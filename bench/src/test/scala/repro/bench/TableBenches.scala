@@ -4,19 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.data.MachineData
 import repro.tables.{Bench, PerfRow, Tables}
 
-/** Shared printing/assertion helpers for the table benches. Each suite
-  * regenerates one evaluation table of the paper and prints its rows
-  * (captured into bench_output.txt, transcribed into EXPERIMENTS.md).
+/** Shared assertion helper for the table benches. Each suite regenerates
+  * one evaluation table of the paper and prints its rows to the stdout of
+  * `sbt "bench/test"`; EXPERIMENTS.md transcribes them.
   */
 trait TableBench extends AnyFunSuite {
-  def printPerf(title: String, rows: Seq[PerfRow]): Unit = {
-    println(s"\n== $title ==")
-    val header = Seq("dataset", "method", "ratio", "comp MB/s", "decomp MB/s")
-    println(Bench.render(header +: rows.map(r =>
-      Seq(r.dataset, r.method, Bench.fmtRatio(r.ratio),
-        Bench.fmtSpeed(r.compMBps), Bench.fmtSpeed(r.decompMBps)))))
-  }
-
   def sane(rows: Seq[PerfRow]): Unit = rows.foreach { r =>
     assert(r.ratio > 0.0 && r.ratio < 1.6, s"$r ratio out of range")
     assert(r.compMBps > 0.0 && r.decompMBps > 0.0, s"$r has non-positive speed")
@@ -26,10 +18,7 @@ trait TableBench extends AnyFunSuite {
 class Table2DatasetStats extends TableBench {
   test("Table 2: dataset statistics") {
     val rows = Tables.table2()
-    println("\n== Table 2: dataset statistics ==")
-    println(Bench.render(
-      Seq("dataset", "records", "avg len") +:
-        rows.map(r => Seq(r.dataset, r.numRecords.toString, f"${r.avgLen}%.1f"))))
+    Bench.printTable2(rows)
     assert(rows.size == 16)
     rows.foreach(r => assert(r.numRecords > 0 && r.avgLen > 10))
   }
@@ -38,7 +27,7 @@ class Table2DatasetStats extends TableBench {
 class Table3LineByLine extends TableBench {
   test("Table 3: line-by-line compression (ratio + comp/decomp speed)") {
     val rows = Tables.table3()
-    printPerf("Table 3: line-by-line compression", rows)
+    Bench.printPerf("Table 3: line-by-line compression", rows)
     sane(rows)
 
     val byDs = rows.groupBy(_.dataset).map { case (d, rs) =>
@@ -63,7 +52,7 @@ class Table3LineByLine extends TableBench {
 class Table4FileCompression extends TableBench {
   test("Table 4: file compression (ratio + comp/decomp speed)") {
     val rows = Tables.table4()
-    printPerf("Table 4: file compression", rows)
+    Bench.printPerf("Table 4: file compression", rows)
     sane(rows)
     val byDs = rows.groupBy(_.dataset).map { case (d, rs) =>
       d -> rs.map(r => r.method -> r).toMap
@@ -82,7 +71,7 @@ class Table4FileCompression extends TableBench {
 class Table5LogCompression extends TableBench {
   test("Table 5: log compression — LogReducer vs PBC_L (averages)") {
     val rows = Tables.table5()
-    printPerf("Table 5: log compression (avg over 6 log datasets)", rows)
+    Bench.printPerf("Table 5: log compression (avg over 6 log datasets)", rows)
     sane(rows)
     val m = rows.map(r => r.method -> r).toMap
     val lr = m("LogReducer"); val pbcL = m("PBC_L")
@@ -96,8 +85,8 @@ class Table5LogCompression extends TableBench {
 class Table6JsonCompression extends TableBench {
   test("Table 6: JSON compression — record and file modes (averages)") {
     val t = Tables.table6()
-    printPerf("Table 6: JSON record compression (avg)", t.record)
-    printPerf("Table 6: JSON file compression (avg)", t.file)
+    Bench.printPerf("Table 6: JSON record compression (avg)", t.record)
+    Bench.printPerf("Table 6: JSON file compression (avg)", t.file)
     sane(t.record); sane(t.file)
     val rec = t.record.map(r => r.method -> r).toMap
     // paper: PBC / PBC_F significantly outperform Ion-B and BP-D per record
@@ -112,7 +101,7 @@ class Table6JsonCompression extends TableBench {
 class Table7JsonPerDataset extends TableBench {
   test("Table 7: per-dataset ratio, BP-D+LZMA vs PBC_L") {
     val rows = Tables.table7()
-    printPerf("Table 7: JSON per-dataset ratio", rows)
+    Bench.printPerf("Table 7: JSON per-dataset ratio", rows)
     sane(rows)
     val github = rows.filter(_.dataset == "github").map(r => r.method -> r.ratio).toMap
     // paper: PBC_L significantly better than BP-D on github (value-level
@@ -125,11 +114,7 @@ class Table7JsonPerDataset extends TableBench {
 class Table8CaseStudy extends TableBench {
   test("Table 8: KV store case study — memory and SET/GET throughput") {
     val rows = Tables.table8()
-    println("\n== Table 8: KV store case study ==")
-    println(Bench.render(
-      Seq("workload", "codec", "memory %", "SET QPS", "GET QPS") +:
-        rows.map(r => Seq(r.workload, r.codec, f"${r.memoryPct}%.1f",
-          f"${r.setQps}%.0f", f"${r.getQps}%.0f"))))
+    Bench.printTable8(rows)
     val byWl = rows.groupBy(_.workload)
     byWl.foreach { case (wl, rs) =>
       val m = rs.map(r => r.codec -> r).toMap

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.tables.{Bench, PerfRow, Tables}
+import repro.tables.{Bench, Tables}
 
 /** spark-submit entrypoints, one per evaluation table.
   *
@@ -16,67 +16,46 @@ object JobUtil {
     SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app).config("spark.ui.enabled", "false").getOrCreate()
 
-  def printPerf(title: String, rows: Seq[PerfRow]): Unit = {
-    println(s"== $title ==")
-    val header = Seq("dataset", "method", "ratio", "comp MB/s", "decomp MB/s")
-    val body = rows.map(r => Seq(r.dataset, r.method, Bench.fmtRatio(r.ratio),
-      Bench.fmtSpeed(r.compMBps), Bench.fmtSpeed(r.decompMBps)))
-    println(Bench.render(header +: body))
-  }
-
   def datasetsArg(args: Array[String], default: Seq[String]): Seq[String] =
     if (args.isEmpty) default else args.toSeq
 }
 
 object Table2Stats {
-  def main(args: Array[String]): Unit = {
-    val rows = Tables.table2()
-    println("== Table 2: dataset statistics ==")
-    println(Bench.render(
-      Seq("dataset", "records", "avg len") +:
-        rows.map(r => Seq(r.dataset, r.numRecords.toString, f"${r.avgLen}%.1f"))))
-  }
+  def main(args: Array[String]): Unit = Bench.printTable2(Tables.table2())
 }
 
 object Table3LineByLine {
   def main(args: Array[String]): Unit =
-    JobUtil.printPerf("Table 3: line-by-line compression",
+    Bench.printPerf("Table 3: line-by-line compression",
       Tables.table3(JobUtil.datasetsArg(args, repro.data.MachineData.all)))
 }
 
 object Table4FileCompression {
   def main(args: Array[String]): Unit =
-    JobUtil.printPerf("Table 4: file compression",
+    Bench.printPerf("Table 4: file compression",
       Tables.table4(JobUtil.datasetsArg(args, repro.data.MachineData.all)))
 }
 
 object Table5LogCompression {
   def main(args: Array[String]): Unit =
-    JobUtil.printPerf("Table 5: log compression (averages)", Tables.table5())
+    Bench.printPerf("Table 5: log compression (averages)", Tables.table5())
 }
 
 object Table6JsonCompression {
   def main(args: Array[String]): Unit = {
     val t = Tables.table6()
-    JobUtil.printPerf("Table 6: JSON record compression (averages)", t.record)
-    JobUtil.printPerf("Table 6: JSON file compression (averages)", t.file)
+    Bench.printPerf("Table 6: JSON record compression (averages)", t.record)
+    Bench.printPerf("Table 6: JSON file compression (averages)", t.file)
   }
 }
 
 object Table7JsonPerDataset {
   def main(args: Array[String]): Unit =
-    JobUtil.printPerf("Table 7: JSON per-dataset ratio", Tables.table7())
+    Bench.printPerf("Table 7: JSON per-dataset ratio", Tables.table7())
 }
 
 object Table8CaseStudy {
-  def main(args: Array[String]): Unit = {
-    val rows = Tables.table8()
-    println("== Table 8: KV store case study ==")
-    println(Bench.render(
-      Seq("workload", "codec", "memory %", "SET QPS", "GET QPS") +:
-        rows.map(r => Seq(r.workload, r.codec, f"${r.memoryPct}%.1f",
-          f"${r.setQps}%.0f", f"${r.getQps}%.0f"))))
-  }
+  def main(args: Array[String]): Unit = Bench.printTable8(Tables.table8())
 }
 
 /** End-to-end demo of the `pbc` DataSourceV2 format: write a dataset

@@ -29,17 +29,18 @@ object Clustering {
 
   /** A cluster under construction. */
   final case class Cluster(pattern: Pattern, size: Int, members: Vector[String]) {
-    lazy val histogram: Map[Char, Int] = OneGram.histogram(pattern)
+    lazy val histogram: Map[Int, Int] = OneGram.histogram(pattern)
   }
 
   final case class Config(
       k: Int = 32,
       maxPatternLen: Int = 1024,
       criterion: Criterion = Criterion.EncodingLengthBased,
-      usePruning: Boolean = true,
-      /** Cap on members retained per cluster for later encoder selection. */
-      maxMembersPerCluster: Int = 64
+      usePruning: Boolean = true
   )
+
+  /** Cap on members retained per cluster for later encoder selection. */
+  private val MaxMembersPerCluster = 64
 
   private final case class Entry(cost: Long, a: Int, b: Int, va: Long, vb: Long,
                                  exact: Boolean, merged: Pattern)
@@ -70,7 +71,7 @@ object Clustering {
       Cluster(
         Pattern.ofRecord(rec, cfg.maxPatternLen),
         occ.size,
-        Vector.fill(math.min(occ.size, cfg.maxMembersPerCluster))(rec)
+        Vector.fill(math.min(occ.size, MaxMembersPerCluster))(rec)
       )
     }
     mergeDown(initial, cfg.k, cfg)
@@ -129,7 +130,7 @@ object Clustering {
             if (e.merged != null) e.merged
             else // edit-distance criterion carries no merged pattern — build one
               EncodingLength.merge(x.pattern.tokens, y.pattern.tokens, x.size, y.size).get.merged
-          val members = (x.members ++ y.members).take(cfg.maxMembersPerCluster)
+          val members = (x.members ++ y.members).take(MaxMembersPerCluster)
           clusters.remove(e.a); clusters.remove(e.b)
           version(e.a) += 1; version(e.b) += 1
           val id = nextId; nextId += 1

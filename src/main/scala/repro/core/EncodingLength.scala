@@ -56,13 +56,13 @@ object EncodingLength {
     val n = csX.length
     val m = csY.length
     val descr = if (descriptorCost) (sizeX + sizeY).toLong else 0L
-    // tokens as ints for the hot loop: -1 = wildcard, else char code
+    // tokens as ints for the hot loop: -1 = wildcard, else the code point
     val x = new Array[Int](n)
     val y = new Array[Int](m)
     var ti = 0
-    csX.foreach { t => x(ti) = (t match { case Lit(c) => c.toInt; case Wild => -1 }); ti += 1 }
+    csX.foreach { t => x(ti) = (t match { case Lit(c) => c; case Wild => -1 }); ti += 1 }
     ti = 0
-    csY.foreach { t => y(ti) = (t match { case Lit(c) => c.toInt; case Wild => -1 }); ti += 1 }
+    csY.foreach { t => y(ti) = (t match { case Lit(c) => c; case Wild => -1 }); ti += 1 }
 
     // two cost layers per row: ending type Pattern (P) and Residual (R)
     val prevP = new Array[Long](m + 1)
@@ -151,7 +151,7 @@ object EncodingLength {
       val dir = b & 3
       val srcIsR = (b & 4) != 0
       dir match {
-        case 1 => toks += Lit(x(bi - 1).toChar); bi -= 1; bj -= 1
+        case 1 => toks += Lit(x(bi - 1)); bi -= 1; bj -= 1
         case 2 => toks += Wild; bi -= 1
         case 3 => toks += Wild; bj -= 1
         case _ => throw new IllegalStateException(s"no backpointer at ($bi,$bj)")
@@ -159,53 +159,5 @@ object EncodingLength {
       inPatternLayer = !srcIsR
     }
     Some(Merge(inc, Pattern(PTok.normalize(toks.reverseIterator.toSeq))))
-  }
-
-  /** Reference O(|F|·n²·m²)-style solver used only in tests: exhaustively
-    * enumerates every order-preserving alignment of equal literal tokens
-    * and charges the same cost model as [[merge]]. Exponential — tiny
-    * inputs only.
-    */
-  def mergeBruteForce(
-      csX: Vector[PTok],
-      csY: Vector[PTok],
-      sizeX: Int,
-      sizeY: Int,
-      descriptorCost: Boolean = true
-  ): Merge = {
-    val descr = if (descriptorCost) (sizeX + sizeY).toLong else 0L
-
-    var best: Merge = null
-    def walk(i: Int, j: Int, acc: Long, isPattern: Boolean, toks: Vector[PTok]): Unit = {
-      if (i == csX.length && j == csY.length) {
-        val merged = Pattern(PTok.normalize(toks))
-        if (best == null || acc < best.increment) best = Merge(acc, merged)
-        return
-      }
-      @inline def consume(tok: PTok, size: Int): (Long, PTok) = {
-        var a = (if (isPattern) descr else 0L)
-        tok match {
-          case PTok.Wild   => if (descriptorCost) a -= size
-          case PTok.Lit(_) => a += size
-        }
-        (a, PTok.Wild)
-      }
-      // diagonal on equal literals
-      if (i < csX.length && j < csY.length) (csX(i), csY(j)) match {
-        case (PTok.Lit(a), PTok.Lit(b)) if a == b =>
-          walk(i + 1, j + 1, acc, isPattern = true, toks :+ csX(i))
-        case _ => ()
-      }
-      if (i < csX.length) {
-        val (d, t) = consume(csX(i), sizeX)
-        walk(i + 1, j, acc + d, isPattern = false, toks :+ t)
-      }
-      if (j < csY.length) {
-        val (d, t) = consume(csY(j), sizeY)
-        walk(i, j + 1, acc + d, isPattern = false, toks :+ t)
-      }
-    }
-    walk(0, 0, 0L, isPattern = true, Vector.empty)
-    best
   }
 }

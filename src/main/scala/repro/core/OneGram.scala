@@ -22,9 +22,9 @@ package repro.core
   */
 object OneGram {
 
-  /** Histogram of the literal characters of a pattern. */
-  def histogram(p: Pattern): Map[Char, Int] = {
-    val m = scala.collection.mutable.Map.empty[Char, Int]
+  /** Histogram of the literal code points of a pattern. */
+  def histogram(p: Pattern): Map[Int, Int] = {
+    val m = scala.collection.mutable.Map.empty[Int, Int]
     p.tokens.foreach {
       case PTok.Lit(c) => m.update(c, m.getOrElse(c, 0) + 1)
       case PTok.Wild   => ()
@@ -37,7 +37,7 @@ object OneGram {
     * descriptor refunds are subtracted to keep the bound sound).
     */
   def lowerBound(
-      hx: Map[Char, Int], hy: Map[Char, Int],
+      hx: Map[Int, Int], hy: Map[Int, Int],
       sizeX: Int, sizeY: Int,
       wildsX: Int = 0, wildsY: Int = 0
   ): Long = {
@@ -51,21 +51,5 @@ object OneGram {
       if (cy > cx) lb += (cy - cx).toLong * sizeY
     }
     math.max(0L, lb - wildsX.toLong * sizeX - wildsY.toLong * sizeY)
-  }
-
-  /** The paper's Definition 5 distance (multiset symmetric form),
-    * exposed for tests: |MS1 ∪ MS2| − 2·|MS1 ∩ MS2| with multiset
-    * union = Σ max and intersection = Σ min.
-    */
-  def dist1(s1: String, s2: String): Long = {
-    val h1 = s1.groupMapReduce(identity)(_ => 1)(_ + _)
-    val h2 = s2.groupMapReduce(identity)(_ => 1)(_ + _)
-    val chars = h1.keySet ++ h2.keySet
-    var union = 0L; var inter = 0L
-    chars.foreach { c =>
-      val a = h1.getOrElse(c, 0); val b = h2.getOrElse(c, 0)
-      union += math.max(a, b); inter += math.min(a, b)
-    }
-    union - 2 * inter
   }
 }

@@ -39,6 +39,18 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
   def recordCount: Long = recordCount0
   def outlierRate: Double = if (recordCount0 == 0) 0.0 else outlierCount0.toDouble / recordCount0
 
+  /** Whether field encoder `e` stores its value through [[writeString]]:
+    * every VARCHAR, and in PBC_F mode also CHAR fields long enough for
+    * FSST to win (the paper applies the residual encoder to all string
+    * residuals); short CHARs stay raw — a length header would cost more
+    * than FSST could save.
+    */
+  private def viaString(e: FieldEncoder): Boolean = e match {
+    case FieldEncoder.VarChar  => true
+    case FieldEncoder.Char_(n) => fsst.isDefined && n >= 4
+    case _                     => false
+  }
+
   /** String payload framing.
     *
     * Plain mode: `varint(len) ++ bytes` (VARCHAR) or bare bytes (outlier;
@@ -96,17 +108,9 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
               out.writeVarInt(id.toLong + 1L)
               f = 0
               while (f < caps.length) {
-                cp.encoders(f) match {
-                  case FieldEncoder.VarChar =>
-                    writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
-                  // PBC_F also re-encodes CHAR fields long enough for FSST
-                  // to win (the paper applies the residual encoder to all
-                  // string residuals); short CHARs stay raw — a length
-                  // header would cost more than FSST could save
-                  case FieldEncoder.Char_(n) if fsst.isDefined && n >= 4 =>
-                    writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
-                  case e => e.encode(caps(f), out)
-                }
+                val e = cp.encoders(f)
+                if (viaString(e)) writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
+                else e.encode(caps(f), out)
                 f += 1
               }
               return out.toBytes
@@ -129,13 +133,10 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
     if (h == 0L) readString(in, lengthPrefixed = false)
     else {
       val cp = dict.patterns((h - 1).toInt)
-      cp.pattern.renderWith(cp.encoders.length, f =>
-        cp.encoders(f) match {
-          case FieldEncoder.VarChar => readString(in, lengthPrefixed = true)
-          case FieldEncoder.Char_(n) if fsst.isDefined && n >= 4 =>
-            readString(in, lengthPrefixed = true)
-          case e => e.decode(in)
-        })
+      cp.pattern.renderWith(cp.encoders.length, { f =>
+        val e = cp.encoders(f)
+        if (viaString(e)) readString(in, lengthPrefixed = true) else e.decode(in)
+      })
     }
   }
 }

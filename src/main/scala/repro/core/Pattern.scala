@@ -1,15 +1,19 @@
 package repro.core
 
-/** Token of a pattern's common subsequence: a literal character or a
-  * wildcard (`*`) marking one residual field.
+/** Token of a pattern's common subsequence: a literal Unicode code point
+  * or a wildcard (`*`) marking one residual field.
+  *
+  * Literals are code points, not UTF-16 `Char`s: a surrogate pair split
+  * between a literal and a field would leave a lone surrogate in the
+  * field, which does not survive UTF-8 encoding.
   */
 sealed trait PTok extends Serializable
 object PTok {
-  final case class Lit(c: Char) extends PTok
+  final case class Lit(c: Int) extends PTok
   case object Wild extends PTok
 
-  /** Literal tokens for a whole string. */
-  def lits(s: String): Vector[PTok] = s.iterator.map(Lit.apply).toVector
+  /** Literal tokens for a whole string, one per code point. */
+  def lits(s: String): Vector[PTok] = s.codePoints.toArray.iterator.map(Lit.apply).toVector
 
   /** Collapse runs of adjacent wildcards into a single wildcard. */
   def normalize(toks: Seq[PTok]): Vector[PTok] = {
@@ -35,17 +39,23 @@ object PTok {
 final case class Pattern(tokens: Vector[PTok]) extends Serializable {
   import PTok._
 
-  /** Literal runs in order. */
-  val runs: Vector[String] = {
-    val out = Vector.newBuilder[String]
-    val sb = new StringBuilder
+  /** Literal chunks around the fields: `chunk(0) f0 chunk(1) f1 ... chunk(n)`
+    * (possibly empty chunks) — precomputed so rendering appends whole
+    * strings instead of single code points.
+    */
+  private val chunks: Array[String] = {
+    val out = Array.newBuilder[String]
+    val sb = new java.lang.StringBuilder
     tokens.foreach {
-      case Lit(c) => sb.append(c)
-      case Wild   => if (sb.nonEmpty) { out += sb.toString; sb.clear() }
+      case Lit(c) => sb.appendCodePoint(c)
+      case Wild   => out += sb.toString; sb.setLength(0)
     }
-    if (sb.nonEmpty) out += sb.toString
+    out += sb.toString
     out.result()
   }
+
+  /** Literal runs in order. */
+  val runs: Vector[String] = chunks.iterator.filter(_.nonEmpty).toVector
 
   val startsWithWild: Boolean = tokens.headOption.contains(Wild)
   val endsWithWild: Boolean   = tokens.lastOption.contains(Wild)
@@ -53,7 +63,7 @@ final case class Pattern(tokens: Vector[PTok]) extends Serializable {
   /** Number of wildcard fields. */
   val numFields: Int = tokens.count(_ == Wild)
 
-  /** Total literal characters — the paper's tiebreaker ("longest pattern"). */
+  /** Total literal code points — the paper's tiebreaker ("longest pattern"). */
   val litLen: Int = tokens.count(_.isInstanceOf[Lit])
 
   /** Match `s` against this pattern; returns the captured residual field
@@ -96,21 +106,6 @@ final case class Pattern(tokens: Vector[PTok]) extends Serializable {
     Some(caps.result())
   }
 
-  /** Literal chunks around the fields: `chunk(0) f0 chunk(1) f1 ... chunk(n)`
-    * (possibly empty chunks) — precomputed so rendering appends whole
-    * strings instead of single characters.
-    */
-  private lazy val chunks: Array[String] = {
-    val out = Array.newBuilder[String]
-    val sb = new StringBuilder
-    tokens.foreach {
-      case Lit(c) => sb.append(c)
-      case Wild   => out += sb.toString; sb.clear()
-    }
-    out += sb.toString
-    out.result()
-  }
-
   /** Reassemble a record from captured field values. */
   def render(fields: IndexedSeq[String]): String =
     renderWith(fields.length, fields.apply)
@@ -130,20 +125,16 @@ final case class Pattern(tokens: Vector[PTok]) extends Serializable {
   }
 
   /** Glob rendering, `*` = wildcard (literal `*` escaped as `\*`). */
-  def glob: String =
-    tokens.map {
-      case Lit('*')  => "\\*"
-      case Lit('\\') => "\\\\"
-      case Lit(c)    => c.toString
-      case Wild      => "*"
-    }.mkString
-
-  /** Java-regex rendering (what the paper feeds to Hyperscan). */
-  def toRegex: String =
-    tokens.map {
-      case Lit(c) => java.util.regex.Pattern.quote(c.toString)
-      case Wild   => "(.*?)"
-    }.mkString("^", "", "$")
+  def glob: String = {
+    val sb = new java.lang.StringBuilder
+    tokens.foreach {
+      case Lit(c) =>
+        if (c == '*' || c == '\\') sb.append('\\')
+        sb.appendCodePoint(c)
+      case Wild => sb.append('*')
+    }
+    sb.toString
+  }
 }
 
 object Pattern {
@@ -151,7 +142,9 @@ object Pattern {
     * pattern). Records longer than `maxLen` are truncated with a trailing
     * wildcard absorbing the tail, bounding the DP table size.
     */
-  def ofRecord(s: String, maxLen: Int = Int.MaxValue): Pattern =
-    if (s.length <= maxLen) Pattern(PTok.lits(s))
-    else Pattern(PTok.lits(s.take(maxLen)) :+ PTok.Wild)
+  def ofRecord(s: String, maxLen: Int = Int.MaxValue): Pattern = {
+    val lits = PTok.lits(s)
+    if (lits.length <= maxLen) Pattern(lits)
+    else Pattern(lits.take(maxLen) :+ PTok.Wild)
+  }
 }

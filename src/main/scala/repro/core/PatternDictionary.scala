@@ -59,7 +59,7 @@ object PatternDictionary {
       val nTok = in.readVarInt().toInt
       val toks = Vector.fill(nTok) {
         val v = in.readVarInt()
-        if (v == 0L) PTok.Wild else PTok.Lit((v - 1).toChar)
+        if (v == 0L) PTok.Wild else PTok.Lit((v - 1).toInt)
       }
       val p = Pattern(toks)
       val encs = Vector.fill(p.numFields) {

@@ -94,14 +94,13 @@ object PatternExtractor {
         Some(CompiledPattern(c.pattern, encoders))
       }
     }
-    val unique = compiled
 
     val fsst =
       if (!cfg.withFsst) None
       else {
         // Train on residual field values + outliers of the sample.
         val chunks = samp.flatMap { r =>
-          unique.iterator
+          compiled.iterator
             .map(cp => cp.pattern.matchRecord(r))
             .collectFirst { case Some(caps) => caps }
             .getOrElse(Vector(r))
@@ -109,6 +108,6 @@ object PatternExtractor {
         Some(repro.fsst.Fsst.train(chunks))
       }
 
-    PatternDictionary(unique, fsst)
+    PatternDictionary(compiled, fsst)
   }
 }

@@ -1,11 +1,12 @@
 package repro.kvstore
 
 import java.nio.charset.StandardCharsets.UTF_8
-import repro.codecs.ZstdDictCodec
+import repro.codecs.ByteCodec
 import repro.core.PbcCodec
 
-/** Value codec plugged into the KV store — the unit the Table 8 case
-  * study swaps between Uncompressed / Zstd(dict) / PBC_F.
+/** A codec of string values: the unit the Table 8 case study swaps
+  * between Uncompressed / Zstd(dict) / PBC_F, and the per-record method
+  * that the table runners evaluate.
   */
 trait ValueCodec extends Serializable {
   def name: String
@@ -21,17 +22,19 @@ object ValueCodec {
     override def decode(b: Array[Byte]): String = new String(b, UTF_8)
   }
 
-  /** TierBase's production scheme: Zstd with a workload-trained dictionary. */
-  final class ZstdDict(dict: Array[Byte], level: Int = 3) extends ValueCodec {
-    private val codec = new ZstdDictCodec(dict, level)
-    override val name = "Zstd"
+  /** A byte codec applied to each value's UTF-8 bytes, e.g. TierBase's
+    * production scheme, Zstd with a workload-trained dictionary.
+    */
+  final class OverBytes(val name: String, codec: ByteCodec) extends ValueCodec {
     override def encode(v: String): Array[Byte] = codec.compress(v.getBytes(UTF_8))
     override def decode(b: Array[Byte]): String = new String(codec.decompress(b), UTF_8)
   }
 
-  /** The paper's integration: PBC_F with workload-extracted patterns. */
+  /** The paper's integration: PBC with workload-extracted patterns,
+    * named PBC_F when its codec re-encodes residuals with FSST.
+    */
   final class PbcF(codec: PbcCodec) extends ValueCodec {
-    override val name = "PBC_F"
+    override val name = if (codec.useFsst) "PBC_F" else "PBC"
     override def encode(v: String): Array[Byte] = codec.compress(v)
     override def decode(b: Array[Byte]): String = codec.decompress(b)
   }

@@ -35,4 +35,25 @@ object Bench {
     rows.map(r => r.lazyZip(widths).map((c, w) => c.padTo(w, ' ')).mkString("  "))
       .mkString("\n")
   }
+
+  // The printers below are shared by the jobs mains and the bench suites.
+
+  private def printTable(title: String, header: Seq[String], body: Seq[Seq[String]]): Unit = {
+    println(s"\n== $title ==")
+    println(render(header +: body))
+  }
+
+  def printPerf(title: String, rows: Seq[PerfRow]): Unit =
+    printTable(title, Seq("dataset", "method", "ratio", "comp MB/s", "decomp MB/s"),
+      rows.map(r => Seq(r.dataset, r.method, fmtRatio(r.ratio),
+        fmtSpeed(r.compMBps), fmtSpeed(r.decompMBps))))
+
+  def printTable2(rows: Seq[Tables.StatRow]): Unit =
+    printTable("Table 2: dataset statistics", Seq("dataset", "records", "avg len"),
+      rows.map(r => Seq(r.dataset, r.numRecords.toString, f"${r.avgLen}%.1f")))
+
+  def printTable8(rows: Seq[Tables.KvRow]): Unit =
+    printTable("Table 8: KV store case study", Seq("workload", "codec", "memory %", "SET QPS", "GET QPS"),
+      rows.map(r => Seq(r.workload, r.codec, f"${r.memoryPct}%.1f",
+        f"${r.setQps}%.0f", f"${r.getQps}%.0f")))
 }

@@ -3,58 +3,32 @@ package repro.tables
 import java.nio.charset.StandardCharsets.UTF_8
 import repro.codecs._
 import repro.core.{Framing, PbcCodec}
+import repro.fsst.FsstTable
 import repro.data.MachineData
 import repro.jsonbin.{BinPackD, IonB, J, MiniJson}
 import repro.kvstore.{TierBaseLite, ValueCodec}
 import repro.logreducer.LogReducer
 
-/** A per-record compression method under benchmark. */
-trait RecordMethod {
-  def name: String
-  def compress(record: String): Array[Byte]
-  def decompress(bytes: Array[Byte]): String
+/** Per-record codec output, framed, then a block codec over the framed
+  * stream: the paper's PBC_Z / PBC_L construction, and the file mode of
+  * the JSON serialisers (Ion-B+LZMA, BP-D+LZMA). The blob is the dataset's
+  * records joined by `\n`.
+  */
+final class Framed(val name: String, rec: ValueCodec, backend: ByteCodec) extends ByteCodec {
+  override def compress(blob: Array[Byte]): Array[Byte] = {
+    val lines = new String(blob, UTF_8).split("\n", -1)
+    backend.compress(Framing.pack(lines.iterator.map(rec.encode)))
+  }
+  override def decompress(coded: Array[Byte]): Array[Byte] =
+    Framing.unpack(backend.decompress(coded))
+      .map(rec.decode).mkString("\n").getBytes(UTF_8)
 }
 
-/** A whole-file compression method under benchmark. */
-trait FileMethod {
-  def name: String
-  def compress(blob: Array[Byte]): Array[Byte]
-  def decompress(coded: Array[Byte]): Array[Byte]
-}
-
-object Methods {
-  final class CodecRecord(val name: String, codec: ByteCodec) extends RecordMethod {
-    override def compress(r: String): Array[Byte] = codec.compress(r.getBytes(UTF_8))
-    override def decompress(b: Array[Byte]): String = new String(codec.decompress(b), UTF_8)
-  }
-
-  final class FsstRecord(table: repro.fsst.FsstTable) extends RecordMethod {
-    override val name = "FSST"
-    override def compress(r: String): Array[Byte] = table.encode(r.getBytes(UTF_8))
-    override def decompress(b: Array[Byte]): String = new String(table.decode(b), UTF_8)
-  }
-
-  final class PbcRecord(val name: String, codec: PbcCodec) extends RecordMethod {
-    override def compress(r: String): Array[Byte] = codec.compress(r)
-    override def decompress(b: Array[Byte]): String = codec.decompress(b)
-  }
-
-  final class CodecFile(codec: ByteCodec) extends FileMethod {
-    override val name: String = codec.name
-    override def compress(blob: Array[Byte]): Array[Byte] = codec.compress(blob)
-    override def decompress(coded: Array[Byte]): Array[Byte] = codec.decompress(coded)
-  }
-
-  /** PBC_Z / PBC_L: per-record PBC, framed, then a block codec. */
-  final class PbcFile(val name: String, pbc: PbcCodec, backend: ByteCodec) extends FileMethod {
-    override def compress(blob: Array[Byte]): Array[Byte] = {
-      val lines = new String(blob, UTF_8).split("\n", -1)
-      backend.compress(Framing.pack(lines.iterator.map(pbc.compress)))
-    }
-    override def decompress(coded: Array[Byte]): Array[Byte] =
-      Framing.unpack(backend.decompress(coded))
-        .map(pbc.decompress).mkString("\n").getBytes(UTF_8)
-  }
+/** Standalone FSST over each record's UTF-8 bytes (the Table 3 baseline). */
+final class FsstRecord(table: FsstTable) extends ValueCodec {
+  override val name = "FSST"
+  override def encode(r: String): Array[Byte] = table.encode(r.getBytes(UTF_8))
+  override def decode(b: Array[Byte]): String = new String(table.decode(b), UTF_8)
 }
 
 /** One row of a ratio/speed table. */
@@ -77,19 +51,19 @@ object Tables {
   // ---------- shared evaluation drivers ----------
 
   /** Compress/decompress every record individually; verify lossless. */
-  def evalRecord(dataset: String, m: RecordMethod): PerfRow = {
+  def evalRecord(dataset: String, m: ValueCodec): PerfRow = {
     val records = Dictionaries.records(dataset)
     val raw = Dictionaries.rawBytes(dataset)
     val warmN = math.min(records.size, 2000)
 
-    val comp = measure { var i = 0; while (i < warmN) { m.compress(records(i)); i += 1 } } {
-      records.map(m.compress)
+    val comp = measure { var i = 0; while (i < warmN) { m.encode(records(i)); i += 1 } } {
+      records.map(m.encode)
     }
     val compressed = comp.value
     val compBytes = compressed.map(_.length.toLong).sum
 
-    val dec = measure { var i = 0; while (i < warmN) { m.decompress(compressed(i)); i += 1 } } {
-      compressed.map(m.decompress)
+    val dec = measure { var i = 0; while (i < warmN) { m.decode(compressed(i)); i += 1 } } {
+      compressed.map(m.decode)
     }
     val bad = records.indices.find(i => dec.value(i) != records(i))
     require(bad.isEmpty,
@@ -100,7 +74,7 @@ object Tables {
   }
 
   /** Compress/decompress the dataset as one concatenated file. */
-  def evalFile(dataset: String, m: FileMethod): PerfRow = {
+  def evalFile(dataset: String, m: ByteCodec): PerfRow = {
     val blob = Dictionaries.records(dataset).mkString("\n").getBytes(UTF_8)
     // warm-up prefix must end on a record boundary (record-aware file
     // methods parse every line, e.g. the JSON serializers)
@@ -126,14 +100,21 @@ object Tables {
       mbps(blob.length.toLong, comp.seconds), mbps(blob.length.toLong, dec.seconds))
   }
 
+  /** PBC over the dataset's dictionary; PBC_F when `fsst`. */
+  private def pbc(dataset: String, fsst: Boolean): ValueCodec =
+    new ValueCodec.PbcF(new PbcCodec(Dictionaries.pbc(dataset, withFsst = fsst), useFsst = fsst))
+
+  private def pbcL(dataset: String, preset: Int): ByteCodec =
+    new Framed("PBC_L", pbc(dataset, fsst = false), new LzmaCodec(preset))
+
   // ---------- Table 3: line-by-line compression ----------
 
-  def table3Methods(dataset: String): Vector[RecordMethod] = Vector(
-    new Methods.FsstRecord(Dictionaries.fsst(dataset)),
-    new Methods.CodecRecord("LZ4(dict)", new Lz77DictCodec(Dictionaries.zstdDict(dataset))),
-    new Methods.CodecRecord("Zstd(dict)", new ZstdDictCodec(Dictionaries.zstdDict(dataset))),
-    new Methods.PbcRecord("PBC", new PbcCodec(Dictionaries.pbc(dataset, withFsst = false))),
-    new Methods.PbcRecord("PBC_F", new PbcCodec(Dictionaries.pbc(dataset, withFsst = true), useFsst = true))
+  def table3Methods(dataset: String): Vector[ValueCodec] = Vector(
+    new FsstRecord(Dictionaries.fsst(dataset)),
+    new ValueCodec.OverBytes("LZ4(dict)", new Lz77DictCodec(Dictionaries.zstdDict(dataset))),
+    new ValueCodec.OverBytes("Zstd(dict)", new ZstdDictCodec(Dictionaries.zstdDict(dataset))),
+    pbc(dataset, fsst = false),
+    pbc(dataset, fsst = true)
   )
 
   def table3(datasets: Seq[String] = MachineData.all): Vector[PerfRow] =
@@ -141,13 +122,13 @@ object Tables {
 
   // ---------- Table 4: file compression ----------
 
-  def table4Methods(dataset: String): Vector[FileMethod] = Vector(
-    new Methods.CodecFile(new SnappyCodec),
-    new Methods.CodecFile(new LzmaCodec(6)),
-    new Methods.CodecFile(new Lz4Codec),
-    new Methods.CodecFile(new ZstdCodec(3)),
-    new Methods.PbcFile("PBC_Z", new PbcCodec(Dictionaries.pbc(dataset, withFsst = false)), new ZstdCodec(3)),
-    new Methods.PbcFile("PBC_L", new PbcCodec(Dictionaries.pbc(dataset, withFsst = false)), new LzmaCodec(6))
+  def table4Methods(dataset: String): Vector[ByteCodec] = Vector(
+    new SnappyCodec,
+    new LzmaCodec(6),
+    new Lz4Codec,
+    new ZstdCodec(3),
+    new Framed("PBC_Z", pbc(dataset, fsst = false), new ZstdCodec(3)),
+    pbcL(dataset, 6)
   )
 
   def table4(datasets: Seq[String] = MachineData.all): Vector[PerfRow] =
@@ -155,7 +136,8 @@ object Tables {
 
   // ---------- Table 5: log compression (averages over log datasets) ----------
 
-  final class LogReducerFile extends FileMethod {
+  /** LogReducer-lite over the dataset's lines. */
+  final class LogReducerFile extends ByteCodec {
     override val name = "LogReducer"
     override def compress(blob: Array[Byte]): Array[Byte] =
       LogReducer.compress(new String(blob, UTF_8).split("\n", -1).toSeq)
@@ -166,10 +148,7 @@ object Tables {
   /** Per the paper: PBC_L at LZMA level 9 vs LogReducer, averaged. */
   def table5(datasets: Seq[String] = MachineData.logDatasets): Vector[PerfRow] = {
     val rows = datasets.toVector.flatMap { d =>
-      Vector(
-        evalFile(d, new LogReducerFile),
-        evalFile(d, new Methods.PbcFile("PBC_L", new PbcCodec(Dictionaries.pbc(d, withFsst = false)), new LzmaCodec(9)))
-      )
+      Vector(evalFile(d, new LogReducerFile), evalFile(d, pbcL(d, 9)))
     }
     average(rows)
   }
@@ -184,34 +163,26 @@ object Tables {
 
   // ---------- Tables 6 & 7: JSON compression ----------
 
-  /** Ion-B / BP-D as record methods. Compression includes JSON parsing;
+  /** Ion-B / BP-D as record codecs. Compression includes JSON parsing;
     * decompression renders canonical JSON (round-trip is verified on the
     * canonical form because binary JSON formats do not preserve
     * whitespace — our generators emit canonical JSON, so the comparison
     * is byte-exact here).
     */
-  final class IonRecord(ion: IonB) extends RecordMethod {
+  final class IonRecord(ion: IonB) extends ValueCodec {
     override val name = "Ion-B"
-    override def compress(r: String): Array[Byte] = ion.encode(MiniJson.parse(r))
-    override def decompress(b: Array[Byte]): String = MiniJson.render(ion.decode(b))
+    override def encode(r: String): Array[Byte] = ion.encode(MiniJson.parse(r))
+    override def decode(b: Array[Byte]): String = MiniJson.render(ion.decode(b))
   }
 
-  final class BpdRecord(schema: BinPackD.Schema) extends RecordMethod {
+  final class BpdRecord(schema: BinPackD.Schema) extends ValueCodec {
     override val name = "BP-D"
-    override def compress(r: String): Array[Byte] = BinPackD.encode(schema, MiniJson.parse(r))
-    override def decompress(b: Array[Byte]): String = MiniJson.render(BinPackD.decode(schema, b))
+    override def encode(r: String): Array[Byte] = BinPackD.encode(schema, MiniJson.parse(r))
+    override def decode(b: Array[Byte]): String = MiniJson.render(BinPackD.decode(schema, b))
   }
 
-  /** Record-mode serializer + LZMA over the framed stream (file mode). */
-  final class SerializedFile(val name: String, rec: RecordMethod, backend: ByteCodec) extends FileMethod {
-    override def compress(blob: Array[Byte]): Array[Byte] = {
-      val lines = new String(blob, UTF_8).split("\n", -1)
-      backend.compress(Framing.pack(lines.iterator.map(rec.compress)))
-    }
-    override def decompress(coded: Array[Byte]): Array[Byte] =
-      Framing.unpack(backend.decompress(coded))
-        .map(rec.decompress).mkString("\n").getBytes(UTF_8)
-  }
+  private def bpdLzma(dataset: String): ByteCodec =
+    new Framed("BP-D+LZMA", new BpdRecord(bpdSchema(dataset)), new LzmaCodec(6))
 
   def bpdSchema(dataset: String): BinPackD.Schema = {
     val sample = Dictionaries.records(dataset).take(500).map(MiniJson.parse)
@@ -225,31 +196,19 @@ object Tables {
 
   def table6(datasets: Seq[String] = MachineData.jsonDatasets): Table6 = {
     val rec = datasets.toVector.flatMap { d =>
-      Vector(
-        evalRecord(d, new IonRecord(IonB.recordMode)),
-        evalRecord(d, new BpdRecord(bpdSchema(d))),
-        evalRecord(d, new Methods.PbcRecord("PBC", new PbcCodec(Dictionaries.pbc(d, withFsst = false)))),
-        evalRecord(d, new Methods.PbcRecord("PBC_F", new PbcCodec(Dictionaries.pbc(d, withFsst = true), useFsst = true)))
-      )
+      Vector(new IonRecord(IonB.recordMode), new BpdRecord(bpdSchema(d)),
+        pbc(d, fsst = false), pbc(d, fsst = true)).map(evalRecord(d, _))
     }
     val file = datasets.toVector.flatMap { d =>
-      Vector(
-        evalFile(d, new SerializedFile("Ion-B+LZMA", new IonRecord(ionFileMode(d)), new LzmaCodec(6))),
-        evalFile(d, new SerializedFile("BP-D+LZMA", new BpdRecord(bpdSchema(d)), new LzmaCodec(6))),
-        evalFile(d, new Methods.PbcFile("PBC_L", new PbcCodec(Dictionaries.pbc(d, withFsst = false)), new LzmaCodec(6)))
-      )
+      Vector(new Framed("Ion-B+LZMA", new IonRecord(ionFileMode(d)), new LzmaCodec(6)),
+        bpdLzma(d), pbcL(d, 6)).map(evalFile(d, _))
     }
     Table6(average(rec), average(file))
   }
 
   /** Table 7: per-dataset compression ratio of the two best file methods. */
   def table7(datasets: Seq[String] = MachineData.jsonDatasets): Vector[PerfRow] =
-    datasets.toVector.flatMap { d =>
-      Vector(
-        evalFile(d, new SerializedFile("BP-D+LZMA", new BpdRecord(bpdSchema(d)), new LzmaCodec(6))),
-        evalFile(d, new Methods.PbcFile("PBC_L", new PbcCodec(Dictionaries.pbc(d, withFsst = false)), new LzmaCodec(6)))
-      )
-    }
+    datasets.toVector.flatMap(d => Vector(bpdLzma(d), pbcL(d, 6)).map(evalFile(d, _)))
 
   // ---------- Table 8: production KV store case study ----------
 
@@ -262,8 +221,8 @@ object Tables {
       val keys = records.indices.map(i => f"key:$i%08d")
       val codecs: Vector[ValueCodec] = Vector(
         ValueCodec.Uncompressed,
-        new ValueCodec.ZstdDict(Dictionaries.zstdDict(dataset)),
-        new ValueCodec.PbcF(new PbcCodec(Dictionaries.pbc(dataset, withFsst = true), useFsst = true))
+        new ValueCodec.OverBytes("Zstd", new ZstdDictCodec(Dictionaries.zstdDict(dataset))),
+        pbc(dataset, fsst = true)
       )
       val baselineBytes = {
         val s = new TierBaseLite(ValueCodec.Uncompressed)

@@ -1,11 +1,24 @@
 package repro
 
 import scala.util.Random
+import org.scalacheck.{Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 
-/** Seeded property-style loops (scalatestplus-scalacheck is not in the
-  * offline cache, so properties run as deterministic seeded iterations).
+/** Seeded property-style loops, and a seeded ScalaCheck runner
+  * (scalatestplus-scalacheck is not in the offline cache, so ScalaCheck
+  * properties are checked through `org.scalacheck.Test` directly).
   */
 trait PropUtil {
+  /** Check a ScalaCheck property on `tests` inputs from a fixed seed. */
+  def check(prop: Prop, tests: Int): Unit = {
+    val params = Test.Parameters.default
+      .withMinSuccessfulTests(tests)
+      .withInitialSeed(Seed(1234L))
+    val res = Test.check(params, prop)
+    if (!res.passed) throw new AssertionError(Pretty.pretty(res, Pretty.Params(2)))
+  }
+
   def forAllSeeded(iterations: Int = 100, seed: Long = 1234L)(body: Random => Unit): Unit = {
     var i = 0
     while (i < iterations) {

@@ -99,7 +99,7 @@ class EncodingLengthSpec extends AnyFunSuite with PropUtil {
       val sx = 1 + r.nextInt(4)
       val sy = 1 + r.nextInt(4)
       val dp = EncodingLength.merge(a, b, sx, sy).get
-      val bf = EncodingLength.mergeBruteForce(a, b, sx, sy)
+      val bf = Reference.mergeBruteForce(a, b, sx, sy)
       assert(dp.increment == bf.increment,
         s"a=${Pattern(a).glob} b=${Pattern(b).glob} sx=$sx sy=$sy dp=${dp.increment} bf=${bf.increment}")
     }
@@ -113,7 +113,7 @@ class EncodingLengthSpec extends AnyFunSuite with PropUtil {
         }.toVector)
       val (a, b) = (small(), small())
       val dp = EncodingLength.merge(a, b, 2, 3, descriptorCost = false).get
-      val bf = EncodingLength.mergeBruteForce(a, b, 2, 3, descriptorCost = false)
+      val bf = Reference.mergeBruteForce(a, b, 2, 3, descriptorCost = false)
       assert(dp.increment == bf.increment)
     }
   }

@@ -38,11 +38,11 @@ class OneGramSpec extends AnyFunSuite with PropUtil {
   }
 
   test("dist1 of identical strings is -len (multiset form)") {
-    assert(OneGram.dist1("abc", "abc") == -3L)
+    assert(Reference.dist1("abc", "abc") == -3L)
   }
 
   test("dist1 of disjoint strings is the total length") {
-    assert(OneGram.dist1("ab", "xyz") == 5L)
+    assert(Reference.dist1("ab", "xyz") == 5L)
   }
 
   test("property: lower bound never exceeds the DP increment") {

@@ -39,6 +39,14 @@ class PatternSpec extends AnyFunSuite with PropUtil {
     assert(p.matchRecord("abcdef").contains(Vector("def")))
   }
 
+  test("ofRecord truncates at code points, never inside a surrogate pair") {
+    val emoji = new String(Character.toChars(0x1F600))
+    val p = Pattern.ofRecord(s"ab${emoji}cd", maxLen = 3)
+    assert(p.tokens == Vector(Lit('a'), Lit('b'), Lit(0x1F600), Wild))
+    assert(p.glob == s"ab$emoji*")
+    assert(p.matchRecord(s"ab${emoji}cd").contains(Vector("cd")))
+  }
+
   // ---- matching ----
 
   test("exact pattern matches only itself") {
@@ -137,7 +145,7 @@ class PatternSpec extends AnyFunSuite with PropUtil {
     forAllSeeded(50) { r =>
       val p = pat("ab*cd*e")
       val s = s"ab${randomAscii(r, 5)}cd${randomAscii(r, 5)}e"
-      val re = java.util.regex.Pattern.compile(p.toRegex, java.util.regex.Pattern.DOTALL)
+      val re = java.util.regex.Pattern.compile(Reference.toRegex(p), java.util.regex.Pattern.DOTALL)
       assert(p.matchRecord(s).isDefined == re.matcher(s).matches())
     }
   }
@@ -151,7 +159,7 @@ class PatternSpec extends AnyFunSuite with PropUtil {
       if (p.numFields == 0 && p.litLen == 0) () // empty pattern — skip
       else {
         val s = (1 to r.nextInt(8)).map(_ => ('a' + r.nextInt(3)).toChar).mkString
-        val re = java.util.regex.Pattern.compile(p.toRegex, java.util.regex.Pattern.DOTALL)
+        val re = java.util.regex.Pattern.compile(Reference.toRegex(p), java.util.regex.Pattern.DOTALL)
         assert(p.matchRecord(s).isDefined == re.matcher(s).matches(),
           s"glob='$globStr' s='$s'")
       }

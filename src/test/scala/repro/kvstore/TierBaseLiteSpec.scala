@@ -2,7 +2,7 @@ package repro.kvstore
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
-import repro.codecs.DictTraining
+import repro.codecs.{DictTraining, ZstdDictCodec}
 import repro.core.{PatternExtractor, PbcCodec}
 import repro.data.MachineData
 import java.nio.charset.StandardCharsets.UTF_8
@@ -10,8 +10,8 @@ import java.nio.charset.StandardCharsets.UTF_8
 class TierBaseLiteSpec extends AnyFunSuite with PropUtil {
 
   private lazy val records = MachineData.records("KV1", 500)
-  private lazy val zstdCodec = new ValueCodec.ZstdDict(
-    DictTraining.zstdDict(records.take(200).map(_.getBytes(UTF_8))))
+  private lazy val zstdCodec = new ValueCodec.OverBytes("Zstd", new ZstdDictCodec(
+    DictTraining.zstdDict(records.take(200).map(_.getBytes(UTF_8)))))
   private lazy val pbcCodec = new ValueCodec.PbcF(
     new PbcCodec(
       PatternExtractor.train(records, PatternExtractor.Config(k = 8, withFsst = true)),
