@@ -1,7 +1,7 @@
 package repro.codecs
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdDictCompress, ZstdDictDecompress, ZstdDictTrainer}
+import com.github.luben.zstd.{ZstdCompressCtx, ZstdDecompressCtx, ZstdDictCompress, ZstdDictDecompress, ZstdDictTrainer}
 import net.jpountz.lz4.LZ4Factory
 import org.tukaani.xz.{LZMA2Options, XZInputStream, XZOutputStream}
 import org.xerial.snappy.Snappy
@@ -54,14 +54,19 @@ final class SnappyCodec extends ByteCodec {
   override def decompress(coded: Array[Byte]): Array[Byte] = Snappy.uncompress(coded)
 }
 
-/** Zstandard at a given level (zstd-jni, as used by RocksDB). */
+/** Zstandard at a given level (zstd-jni, as used by RocksDB). The native
+  * contexts are reused, one pair per thread: a context is not thread-safe
+  * and the codec may be shared.
+  */
 final class ZstdCodec(level: Int = 3) extends ByteCodec {
+  @transient private lazy val cctx = ThreadLocal.withInitial(() => new ZstdCompressCtx().setLevel(level))
+  @transient private lazy val dctx = ThreadLocal.withInitial(() => new ZstdDecompressCtx())
   override def name: String = s"Zstd($level)"
   override def compress(input: Array[Byte]): Array[Byte] =
-    ByteCodec.withLen(Zstd.compress(input, level), input.length)
+    ByteCodec.withLen(cctx.get.compress(input), input.length)
   override def decompress(coded: Array[Byte]): Array[Byte] = {
     val (origLen, buf, off) = ByteCodec.splitLen(coded)
-    Zstd.decompress(java.util.Arrays.copyOfRange(buf, off, buf.length), origLen)
+    dctx.get.decompress(buf, off, buf.length - off, origLen)
   }
 }
 
@@ -90,7 +95,7 @@ final class ZstdDictCodec(dictBytes: Array[Byte], level: Int = 3) extends ByteCo
     ByteCodec.withLen(cctx.compress(input), input.length)
   override def decompress(coded: Array[Byte]): Array[Byte] = {
     val (origLen, buf, off) = ByteCodec.splitLen(coded)
-    dctx.decompress(java.util.Arrays.copyOfRange(buf, off, buf.length), origLen)
+    dctx.decompress(buf, off, buf.length - off, origLen)
   }
 }
 

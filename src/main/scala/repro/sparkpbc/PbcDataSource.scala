@@ -96,16 +96,16 @@ private[sparkpbc] final case class PbcInputPartition(file: String) extends Input
 private[sparkpbc] final class PbcReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val file = partition.asInstanceOf[PbcInputPartition].file
-    new PartitionReader[InternalRow] {
-      private val loaded = PbcFiles.readAll(Paths.get(file))
+    val reader = new PbcFiles.Reader(Paths.get(file))
+    try new PartitionReader[InternalRow] {
       // FSST-coded payloads are detected from the dictionary itself.
-      private val codec = new PbcCodec(loaded.dict, useFsst = loaded.dict.fsst.isDefined)
-      private var i = -1
-      override def next(): Boolean = { i += 1; i < loaded.records.length }
-      override def get(): InternalRow =
-        InternalRow(UTF8String.fromString(codec.decompress(loaded.records(i))))
-      override def close(): Unit = ()
-    }
+      private val codec = { val d = reader.dict(); new PbcCodec(d, useFsst = d.fsst.isDefined) }
+      private val records = reader.records()
+      private var current: Array[Byte] = _
+      override def next(): Boolean = records.hasNext && { current = records.next(); true }
+      override def get(): InternalRow = InternalRow(UTF8String.fromString(codec.decompress(current)))
+      override def close(): Unit = reader.close()
+    } catch { case e: Throwable => reader.close(); throw e }
   }
 }
 

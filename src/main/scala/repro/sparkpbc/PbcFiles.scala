@@ -1,8 +1,18 @@
 package repro.sparkpbc
 
-import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream, RandomAccessFile}
-import java.nio.file.{Files, Path, Paths}
+import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream, IOException}
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, Paths, StandardOpenOption}
+import scala.util.Using
 import repro.core.PatternDictionary
+
+/** A `.pbc` file that does not have the layout [[PbcFiles]] describes:
+  * a bad magic, an index that does not fit the file, offsets out of
+  * order or outside the payload region, or a file cut short (what a
+  * failed task attempt leaves).
+  */
+final class PbcCorruptException(message: String) extends IOException(message)
 
 /** On-disk layout of a `.pbc` file — the container behind the `pbc`
   * DataSourceV2 format.
@@ -19,106 +29,193 @@ import repro.core.PatternDictionary
   * }}}
   *
   * The trailing fixed-width offset index is what gives *per-record
-  * random access*: [[readRecord]] seeks straight to record `i` and
-  * decompresses only it — the paper's core advantage over block-wise
-  * compression (§7.2.2).
+  * random access*: a [[PbcFiles.Reader]] reads the 16-byte tail once,
+  * then each [[PbcFiles.Reader.record]] is two positional reads (the
+  * record's index entries, then its payload) and decompresses only that
+  * record — the paper's core advantage over block-wise compression
+  * (§7.2.2). The path-based entry points open a `Reader` per call.
   */
 object PbcFiles {
-  private val Magic = "PBC1".getBytes("US-ASCII")
-  private val EndMagic = "PBCE".getBytes("US-ASCII")
+  private val Magic = 0x50424331 // "PBC1"
+  private val EndMagic = 0x50424345 // "PBCE"
+  private val HeaderLen = 8
+  private val TailLen = 16
+  /** Bytes each of the scan's two cursors (payloads, index) reads at a time. */
+  private val ScanBuffer = 1 << 16
 
   final class Writer(path: Path, dictBytes: Array[Byte]) {
     private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile)))
-    private val offsets = scala.collection.mutable.ArrayBuffer.empty[Long]
+    private var offsets = new Array[Long](1024)
+    private var n = 0
     private var pos: Long = 0L
 
-    out.write(Magic); pos += 4
+    out.writeInt(Magic); pos += 4
     out.writeInt(dictBytes.length); pos += 4
     out.write(dictBytes); pos += dictBytes.length
 
     def append(record: Array[Byte]): Unit = {
-      offsets += pos
+      if (n == offsets.length) offsets = java.util.Arrays.copyOf(offsets, 2 * n)
+      offsets(n) = pos
+      n += 1
       out.write(record)
       pos += record.length
     }
 
     def close(): Long = {
       val offsetsStart = pos
-      offsets.foreach(out.writeLong)
+      var i = 0
+      while (i < n) { out.writeLong(offsets(i)); i += 1 }
       out.writeLong(offsetsStart)
-      out.writeInt(offsets.size)
-      out.write(EndMagic)
+      out.writeInt(n)
+      out.writeInt(EndMagic)
       out.close()
-      offsets.size.toLong
+      n.toLong
+    }
+  }
+
+  /** An open `.pbc` file. Opening reads and checks the 16-byte tail;
+    * the header and dictionary are read by [[dict]] and [[records]].
+    * Every read is positional, so one `Reader` may serve several threads.
+    * Malformed files raise [[PbcCorruptException]].
+    */
+  final class Reader(path: Path) extends AutoCloseable {
+    private val ch = FileChannel.open(path, StandardOpenOption.READ)
+    private val size: Long = ch.size()
+    private val tail: ByteBuffer =
+      try {
+        if (size < HeaderLen + TailLen) corrupt(s"$size bytes is shorter than an empty file")
+        val t = read(size - TailLen, TailLen)
+        val (start, n) = (t.getLong(0), t.getInt(8))
+        if (t.getInt(12) != EndMagic) corrupt("no PBCE end magic")
+        if (n < 0 || start < HeaderLen || start != size - TailLen - 8L * n)
+          corrupt(s"an index of $n records at $start does not fit $size bytes")
+        t
+      } catch { case e: Throwable => ch.close(); throw e }
+
+    /** Where the offset index starts, which is where the payloads end. */
+    private val offsetsStart: Long = tail.getLong(0)
+    /** Number of records. */
+    val count: Int = tail.getInt(8)
+
+    private lazy val dictLen: Int = {
+      val h = read(0, HeaderLen)
+      if (h.getInt(0) != Magic) corrupt("no PBC1 magic")
+      val len = h.getInt(4)
+      if (len < 0 || HeaderLen + len.toLong > offsetsStart)
+        corrupt(s"a $len-byte dictionary does not fit before the payloads at $offsetsStart")
+      len
+    }
+
+    /** The pattern dictionary every record of the file was written with. */
+    def dict(): PatternDictionary = PatternDictionary.deserialize(read(HeaderLen, dictLen).array)
+
+    /** Record `i`'s compressed bytes: its index entries, then its payload. */
+    def record(i: Int): Array[Byte] = {
+      require(i >= 0 && i < count, s"record $i out of range [0,$count)")
+      val last = i + 1 == count
+      val idx = read(offsetsStart + 8L * i, if (last) 8 else 16)
+      val start = idx.getLong(0)
+      val end = if (last) offsetsStart else idx.getLong(8)
+      val out = new Array[Byte](recordLength(i, start, end))
+      readFully(ByteBuffer.wrap(out), start)
+      out
+    }
+
+    /** Every record's compressed bytes in file order. The payloads and
+      * the index stream through two fixed-size buffers, so memory does
+      * not grow with the file.
+      */
+    def records(): Iterator[Array[Byte]] = {
+      val payloads = new Cursor(HeaderLen + dictLen, offsetsStart)
+      val index = new Cursor(offsetsStart, size - TailLen)
+      var start = if (count > 0) index.long() else offsetsStart
+      if (start != HeaderLen + dictLen)
+        corrupt(s"record 0 starts at $start, not where the dictionary ends (${HeaderLen + dictLen})")
+      Iterator.tabulate(count) { i =>
+        val end = if (i + 1 < count) index.long() else offsetsStart
+        val out = payloads.bytes(recordLength(i, start, end))
+        start = end
+        out
+      }
+    }
+
+    override def close(): Unit = ch.close()
+
+    private def corrupt(why: String): Nothing = throw new PbcCorruptException(s"$path: $why")
+
+    /** Record `i`'s length, checked before anything is allocated for it. */
+    private def recordLength(i: Int, start: Long, end: Long): Int = {
+      if (start < HeaderLen || end < start || end > offsetsStart)
+        corrupt(s"record $i spans [$start, $end), outside the payloads [$HeaderLen, $offsetsStart)")
+      if (end - start > Int.MaxValue) corrupt(s"record $i is ${end - start} bytes long")
+      (end - start).toInt
+    }
+
+    private def read(at: Long, n: Int): ByteBuffer = {
+      val b = ByteBuffer.allocate(n)
+      readFully(b, at)
+      b
+    }
+
+    private def readFully(dst: ByteBuffer, at: Long): Unit = {
+      var p = at
+      while (dst.hasRemaining) {
+        val r = ch.read(dst, p)
+        if (r < 0) corrupt(s"ends at $p, inside a read that the index places before $size")
+        p += r
+      }
+    }
+
+    /** Sequential reads of `[pos, end)` through one buffer. No caller
+      * reads past `end`: the index exactly fills its region, and each
+      * record's length is checked against the payloads before it is read.
+      */
+    private final class Cursor(private var pos: Long, end: Long) {
+      private val buf = ByteBuffer.allocate(ScanBuffer).limit(0)
+
+      def long(): Long = { fill(8); buf.getLong() }
+
+      def bytes(n: Int): Array[Byte] = {
+        val out = new Array[Byte](n)
+        if (n <= buf.capacity) { fill(n); buf.get(out) }
+        else {
+          val have = buf.remaining
+          buf.get(out, 0, have)
+          readFully(ByteBuffer.wrap(out, have, n - have), pos)
+          pos += n - have
+        }
+        out
+      }
+
+      /** Make at least `n` bytes, `n` at most the buffer's capacity, available. */
+      private def fill(n: Int): Unit = if (buf.remaining < n) {
+        buf.compact()
+        val want = math.min(buf.remaining.toLong, end - pos).toInt
+        buf.limit(buf.position + want)
+        readFully(buf, pos)
+        pos += want
+        buf.flip()
+      }
     }
   }
 
   final case class Loaded(dict: PatternDictionary, records: Vector[Array[Byte]])
 
-  /** Load a whole file (scan path). */
-  def readAll(path: Path): Loaded = {
-    val bytes = Files.readAllBytes(path)
-    require(bytes.length >= 20, s"$path: truncated pbc file")
-    val bb = java.nio.ByteBuffer.wrap(bytes)
-    val magic = new Array[Byte](4); bb.get(magic)
-    require(java.util.Arrays.equals(magic, Magic), s"$path: bad magic")
-    val dictLen = bb.getInt
-    val dictBytes = new Array[Byte](dictLen); bb.get(dictBytes)
-    val dict = PatternDictionary.deserialize(dictBytes)
-    val tail = java.nio.ByteBuffer.wrap(bytes, bytes.length - 16, 16)
-    val offsetsStart = tail.getLong
-    val n = tail.getInt
-    val offs = java.nio.ByteBuffer.wrap(bytes, offsetsStart.toInt, n * 8)
-    val offsets = Array.fill(n)(offs.getLong)
-    val records = (0 until n).map { i =>
-      val start = offsets(i).toInt
-      val end = if (i + 1 < n) offsets(i + 1).toInt else offsetsStart.toInt
-      java.util.Arrays.copyOfRange(bytes, start, end)
-    }.toVector
-    Loaded(dict, records)
-  }
+  /** Load a whole file: the dictionary and every record's bytes. */
+  def readAll(path: Path): Loaded =
+    Using.resource(new Reader(path))(r => Loaded(r.dict(), r.records().toVector))
 
   /** Number of records without loading payloads. */
-  def recordCount(path: Path): Int = {
-    val raf = new RandomAccessFile(path.toFile, "r")
-    try {
-      raf.seek(raf.length() - 8)
-      raf.readInt()
-    } finally raf.close()
-  }
+  def recordCount(path: Path): Int = Using.resource(new Reader(path))(_.count)
 
-  /** Random access: read and return only record `i`'s compressed bytes
-    * (three small seeks; neighbouring records are never touched).
+  /** Random access: read and return only record `i`'s compressed bytes;
+    * neighbouring records are never touched. A caller with many lookups
+    * into one file keeps a [[Reader]] open instead.
     */
-  def readRecord(path: Path, i: Int): Array[Byte] = {
-    val raf = new RandomAccessFile(path.toFile, "r")
-    try {
-      val len = raf.length()
-      raf.seek(len - 16)
-      val offsetsStart = raf.readLong()
-      val n = raf.readInt()
-      require(i >= 0 && i < n, s"record $i out of range [0,$n)")
-      raf.seek(offsetsStart + i.toLong * 8)
-      val start = raf.readLong()
-      val end = if (i + 1 < n) raf.readLong() else offsetsStart
-      raf.seek(start)
-      val buf = new Array[Byte]((end - start).toInt)
-      raf.readFully(buf)
-      buf
-    } finally raf.close()
-  }
+  def readRecord(path: Path, i: Int): Array[Byte] = Using.resource(new Reader(path))(_.record(i))
 
-  /** Dictionary bytes of a file (shared by every record in it). */
-  def readDict(path: Path): PatternDictionary = {
-    val raf = new RandomAccessFile(path.toFile, "r")
-    try {
-      raf.seek(4)
-      val dictLen = raf.readInt()
-      val b = new Array[Byte](dictLen)
-      raf.readFully(b)
-      PatternDictionary.deserialize(b)
-    } finally raf.close()
-  }
+  /** The dictionary of a file (shared by every record in it). */
+  def readDict(path: Path): PatternDictionary = Using.resource(new Reader(path))(_.dict())
 
   /** All part files of a dataset directory, deterministically ordered. */
   def listParts(dir: String): Vector[Path] = {

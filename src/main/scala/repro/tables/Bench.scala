@@ -26,6 +26,14 @@ object Bench {
     time(body)
   }
 
+  /** `s` with each UTF-16 surrogate code unit written as a backslash, `u`
+    * and four upper-case hex digits: a lone surrogate in a failure message
+    * cannot be encoded by the test report's XML writer, and a decoding bug
+    * is what leaves one.
+    */
+  def printable(s: String): String =
+    s.flatMap(c => if (Character.isSurrogate(c)) f"\\u${c.toInt}%04X" else c.toString)
+
   def fmtRatio(r: Double): String = f"$r%.3f"
   def fmtSpeed(s: Double): String = if (s >= 100) f"$s%.0f" else f"$s%.2f"
 

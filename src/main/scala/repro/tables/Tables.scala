@@ -67,7 +67,7 @@ object Tables {
     }
     val bad = records.indices.find(i => dec.value(i) != records(i))
     require(bad.isEmpty,
-      s"$dataset/${m.name}: lossy at record ${bad.get}: '${records(bad.get)}' != '${dec.value(bad.get)}'")
+      s"$dataset/${m.name}: lossy at record ${bad.get}: '${printable(records(bad.get))}' != '${printable(dec.value(bad.get))}'")
 
     PerfRow(dataset, m.name, compBytes.toDouble / raw,
       mbps(raw, comp.seconds), mbps(raw, dec.seconds))

@@ -3,6 +3,10 @@ package repro.codecs
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
 import java.nio.charset.StandardCharsets.UTF_8
+import java.util.concurrent.{Callable, Executors}
+import com.github.luben.zstd.Zstd
+import repro.data.MachineData
+import scala.util.Random
 
 class BlockCodecsSpec extends AnyFunSuite with PropUtil {
 
@@ -58,6 +62,37 @@ class BlockCodecsSpec extends AnyFunSuite with PropUtil {
     val z = new ZstdCodec(3)
     val rec = "record number 999 with shared structure".getBytes(UTF_8)
     assert(zd.compress(rec).length < z.compress(rec).length)
+  }
+
+  test("Zstd(level) writes the bytes of the one-shot Zstd.compress, block after block") {
+    val log = MachineData.records("HDFS", 500).mkString("\n").getBytes(UTF_8)
+    val r = new Random(3)
+    val inputs = Seq(Array.empty[Byte], ("the quick brown fox " * 20).getBytes(UTF_8), log,
+      randomBytes(r, 5000), java.util.Arrays.copyOf(log, 100))
+    for (level <- Seq(3, 19)) {
+      val c = new ZstdCodec(level)
+      for (in <- inputs ++ inputs) {
+        val oneShot = ByteCodec.withLen(Zstd.compress(in, level), in.length)
+        assert(c.compress(in).toSeq == oneShot.toSeq, s"level $level, ${in.length} bytes")
+        assert(c.decompress(oneShot).toSeq == in.toSeq)
+      }
+    }
+  }
+
+  test("one Zstd codec shared by several threads round-trips on each") {
+    val c = new ZstdCodec(3)
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val results = (0 until 4).map { t =>
+        pool.submit(new Callable[Boolean] {
+          def call(): Boolean = (0 until 200).forall { i =>
+            val in = (s"thread $t block $i " * (1 + i % 50)).getBytes(UTF_8)
+            c.decompress(c.compress(in)).toSeq == in.toSeq
+          }
+        })
+      }
+      assert(results.forall(_.get()))
+    } finally pool.shutdown()
   }
 
   test("Lz77Dict emits back-references into the preset dictionary") {

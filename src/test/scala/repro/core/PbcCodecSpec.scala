@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropUtil
 import repro.data.MachineData
+import repro.tables.Bench.printable
 import scala.util.Random
 
 class PbcCodecSpec extends AnyFunSuite with PropUtil {
@@ -17,6 +18,14 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     new PbcCodec(dict, useFsst = withFsst)
   }
 
+  /** Fails with both strings escaped (`Bench.printable`): the assertion
+    * macro would print them raw, lone surrogates included.
+    */
+  private def assertRoundTrip(codec: PbcCodec, rec: String): Unit = {
+    val back = codec.decompress(codec.compress(rec))
+    if (back != rec) fail(s"lossy on: '${printable(rec)}' came back as '${printable(back)}'")
+  }
+
   // ---- round-trips on every dataset (small scale) ----
 
   for (name <- MachineData.all) {
@@ -24,7 +33,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
       val records = MachineData.records(name, if (name == "unece") 50 else 500)
       val codec = trainOn(records)
       records.foreach { rec =>
-        assert(codec.decompress(codec.compress(rec)) == rec, s"lossy on: $rec")
+        assertRoundTrip(codec, rec)
       }
     }
   }
@@ -34,7 +43,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
       val records = MachineData.records(name, 300)
       val codec = trainOn(records, withFsst = true)
       records.foreach { rec =>
-        assert(codec.decompress(codec.compress(rec)) == rec, s"lossy on: $rec")
+        assertRoundTrip(codec, rec)
       }
     }
   }
@@ -93,7 +102,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     val codec = trainOn(MachineData.records("KV4", 200), k = 8)
     forAllSeeded(200) { r =>
       val s = randomAscii(r, 80)
-      assert(codec.decompress(codec.compress(s)) == s, s"lossy on: '$s'")
+      assertRoundTrip(codec, s)
     }
   }
 
@@ -101,7 +110,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     val codec = trainOn(MachineData.records("KV4", 200), k = 8, withFsst = true)
     forAllSeeded(200) { r =>
       val s = randomAscii(r, 80)
-      assert(codec.decompress(codec.compress(s)) == s, s"lossy on: '$s'")
+      assertRoundTrip(codec, s)
     }
   }
 

@@ -3,13 +3,14 @@ package repro.fsst
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
 import repro.core.{ByteReader, ByteWriter}
+import repro.tables.Bench.printable
 import java.nio.charset.StandardCharsets.UTF_8
 
 class FsstSpec extends AnyFunSuite with PropUtil {
 
   private def rt(t: FsstTable, s: String): Unit = {
     val b = s.getBytes(UTF_8)
-    assert(t.decode(t.encode(b)).toSeq == b.toSeq, s"lossy on '$s'")
+    assert(t.decode(t.encode(b)).toSeq == b.toSeq, s"lossy on '${printable(s)}'")
   }
 
   test("empty table escapes everything (2 bytes per byte)") {
