@@ -88,6 +88,8 @@ object FieldEncoder {
     m
   }
 
+  private val MinFixedSamples = 3
+
   /** Select the cheapest encoder that accepts every observed field value
     * (pattern-extraction time). Preference order: INT(n,m) for
     * equal-length digit runs, VARINT for leading-zero-free digits,
@@ -95,14 +97,14 @@ object FieldEncoder {
     *
     * Fixed-shape encoders (INT/CHAR) reject values of other lengths at
     * compression time, so they are only chosen when the constant length
-    * is corroborated by at least `minFixedSamples` observations —
+    * is corroborated by at least `MinFixedSamples` observations —
     * otherwise the variable-shape encoder is the safe default.
     */
-  def select(values: Seq[String], minFixedSamples: Int = 3): FieldEncoder = {
+  def select(values: Seq[String]): FieldEncoder = {
     require(values.nonEmpty, "cannot select an encoder from zero samples")
     val lens = values.map(_.getBytes(UTF_8).length).distinct
     val digits = values.forall(allDigits)
-    val trustFixed = values.size >= minFixedSamples
+    val trustFixed = values.size >= MinFixedSamples
     if (trustFixed && digits && lens.size == 1 && lens.head >= 1 && lens.head <= 18)
       Int_(lens.head, bytesForDigits(lens.head))
     else if (values.forall(VarIntEnc.accepts)) VarIntEnc

@@ -19,16 +19,24 @@ import repro.fsst.FsstTable
   *            VARCHAR payloads are FSST-coded in PBC_F mode
   * }}}
   *
-  * `useFsst = true` (with a dictionary carrying an FSST table) is the
-  * paper's `PBC_F` variant — still strictly per-record, so random access
-  * is preserved. `PBC_Z`/`PBC_L` are block-level compositions built on
-  * top of [[Framing]] plus a block codec.
+  * A dictionary that carries an FSST table makes this the paper's
+  * `PBC_F` variant; one without makes it plain `PBC`. Both are strictly
+  * per-record, so random access is preserved. `PBC_Z`/`PBC_L` are
+  * block-level compositions built on top of [[Framing]] plus a block
+  * codec.
   */
-final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
-    extends Serializable {
+final class PbcCodec(val dict: PatternDictionary) extends Serializable {
 
-  private val fsst: Option[FsstTable] = if (useFsst) dict.fsst else None
-  require(!useFsst || fsst.isDefined, "PBC_F requires a dictionary with an FSST table")
+  /** The codec of `dict` with its FSST table, if `useFsst`, or without it. */
+  def this(dict: PatternDictionary, useFsst: Boolean) = {
+    this(if (useFsst) dict else dict.copy(fsst = None))
+    require(!useFsst || dict.fsst.isDefined, "PBC_F requires a dictionary with an FSST table")
+  }
+
+  private val fsst: Option[FsstTable] = dict.fsst
+
+  /** Whether residual strings are FSST-coded (`PBC_F`). */
+  def useFsst: Boolean = fsst.isDefined
 
   /** Outlier count since construction (drives the paper's re-training
     * trigger in the production integration).

@@ -70,6 +70,7 @@ object PatternDictionary {
     }
     val hasFsst = in.readBytes(1)(0) == 1
     val fsst = if (hasFsst) Some(FsstTable.deserialize(in)) else None
+    require(!in.hasRemaining, s"${in.remaining} bytes follow the dictionary")
     PatternDictionary(pats, fsst)
   }
 }

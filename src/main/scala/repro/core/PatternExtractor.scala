@@ -18,16 +18,16 @@ object PatternExtractor {
       usePruning: Boolean = true,
       /** Train an FSST table on residuals for the `PBC_F` variant. */
       withFsst: Boolean = false,
-      /** Records matched against the patterns to calibrate field
-        * encoders. Clustering samples are small (the DP is O(S²·n·m)),
-        * so fixed-shape encoders chosen from a handful of captures can
-        * reject valid field values at compression time, cascading into
-        * outliers; matching is cheap, so encoders are selected from a
-        * much larger capture sample.
-        */
-      calibrationSize: Int = 1000,
       seed: Long = 42L
   )
+
+  /** Records matched against the patterns to calibrate field encoders.
+    * Clustering samples are small (the DP is O(S²·n·m)), so fixed-shape
+    * encoders chosen from a handful of captures can reject valid field
+    * values at compression time, cascading into outliers; matching is
+    * cheap, so encoders are selected from a much larger capture sample.
+    */
+  private val CalibrationSize = 1000
 
   /** Deterministic sample of `cfg.sampleSize` records. */
   def sample(records: Seq[String], cfg: Config): Vector[String] = {
@@ -73,7 +73,7 @@ object PatternExtractor {
 
     // Calibration: match a larger sample through the pattern list the way
     // the compressor will (longest-first glob match) and collect captures.
-    val calib = sample(records, cfg.copy(sampleSize = cfg.calibrationSize, seed = cfg.seed + 1))
+    val calib = sample(records, cfg.copy(sampleSize = CalibrationSize, seed = cfg.seed + 1))
     val captures: Map[Int, Vector[Vector[String]]] = calib
       .flatMap { r =>
         patterns.indices.iterator

@@ -27,13 +27,6 @@ object VarInt {
     out.write(x.toInt)
   }
 
-  /** Encode `v` as a standalone byte array. */
-  def encode(v: Long): Array[Byte] = {
-    val out = new ByteArrayOutputStream(10)
-    write(out, v)
-    out.toByteArray
-  }
-
   /** Zigzag mapping for signed values: 0,-1,1,-2,... → 0,1,2,3,... */
   def zigzag(v: Long): Long = (v << 1) ^ (v >> 63)
   def unzigzag(z: Long): Long = (z >>> 1) ^ -(z & 1L)
@@ -62,7 +55,12 @@ final class ByteReader(val buf: Array[Byte], var pos: Int = 0) {
 
   def readZigZag(): Long = VarInt.unzigzag(readVarInt())
 
+  /** The next `n` bytes; fails when fewer than `n` are left (a negative
+    * `n` compares as a huge unsigned one).
+    */
   def readBytes(n: Int): Array[Byte] = {
+    if (Integer.compareUnsigned(n, remaining) > 0)
+      throw new IndexOutOfBoundsException(s"$n bytes wanted, $remaining left")
     val out = java.util.Arrays.copyOfRange(buf, pos, pos + n); pos += n; out
   }
 

@@ -88,8 +88,12 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
 
 object FsstTable {
   def deserialize(in: ByteReader): FsstTable = {
-    val n = in.readVarInt().toInt
-    new FsstTable(Array.fill(n)(in.readBytes(in.readVarInt().toInt)))
+    val n = in.readVarInt()
+    // each symbol takes at least its length byte: a count past that is
+    // damage, and is rejected before the array is allocated
+    if (n < 0 || n > in.remaining)
+      throw new IllegalArgumentException(s"$n FSST symbols in ${in.remaining} bytes")
+    new FsstTable(Array.fill(n.toInt)(in.readBytes(in.readVarInt().toInt)))
   }
 
   /** The identity table: everything escaped (used before training). */

@@ -21,7 +21,8 @@ import repro.core.{PatternDictionary, PbcCodec}
   * partition (the per-column-chunk analogue); the reader decompresses
   * per record. The serialized pattern dictionary travels to executors
   * through the writer factory (write) or the file header (read), and
-  * the on-disk offset index preserves per-record random access.
+  * the on-disk offset index preserves per-record random access. A
+  * dictionary with an FSST table writes PBC_F; one without writes PBC.
   *
   * Usage:
   * {{{
@@ -70,8 +71,7 @@ private[sparkpbc] final class PbcTable(path: String) extends Table with Supports
       s"pbc expects schema ${PbcDataSource.Schema.simpleString}, got ${info.schema().simpleString}")
     val dictB64 = Option(info.options.get("pbc.dict"))
       .getOrElse(throw new IllegalArgumentException("pbc: writer requires option 'pbc.dict'"))
-    val useFsst = Option(info.options.get("pbc.fsst")).exists(_.toBoolean)
-    new PbcWriteBuilder(path, dictB64, useFsst)
+    new PbcWriteBuilder(path, dictB64)
   }
 }
 
@@ -98,8 +98,7 @@ private[sparkpbc] final class PbcReaderFactory extends PartitionReaderFactory {
     val file = partition.asInstanceOf[PbcInputPartition].file
     val reader = new PbcFiles.Reader(Paths.get(file))
     try new PartitionReader[InternalRow] {
-      // FSST-coded payloads are detected from the dictionary itself.
-      private val codec = { val d = reader.dict(); new PbcCodec(d, useFsst = d.fsst.isDefined) }
+      private val codec = new PbcCodec(reader.dict())
       private val records = reader.records()
       private var current: Array[Byte] = _
       override def next(): Boolean = records.hasNext && { current = records.next(); true }
@@ -111,18 +110,18 @@ private[sparkpbc] final class PbcReaderFactory extends PartitionReaderFactory {
 
 // ---------------- write path ----------------
 
-private[sparkpbc] final class PbcWriteBuilder(path: String, dictB64: String, useFsst: Boolean)
+private[sparkpbc] final class PbcWriteBuilder(path: String, dictB64: String)
     extends WriteBuilder with SupportsTruncate {
   private var doTruncate = false
   override def truncate(): WriteBuilder = { doTruncate = true; this }
 
   override def build(): Write = new Write {
-    override def toBatch: BatchWrite = new PbcBatchWrite(path, dictB64, useFsst, doTruncate)
+    override def toBatch: BatchWrite = new PbcBatchWrite(path, dictB64, doTruncate)
   }
 }
 
 private[sparkpbc] final class PbcBatchWrite(
-    path: String, dictB64: String, useFsst: Boolean, truncate: Boolean
+    path: String, dictB64: String, truncate: Boolean
 ) extends BatchWrite {
 
   override def createBatchWriterFactory(info: PhysicalWriteInfo): DataWriterFactory = {
@@ -130,23 +129,20 @@ private[sparkpbc] final class PbcBatchWrite(
     if (truncate && Files.isDirectory(dir))
       PbcFiles.listParts(path).foreach(Files.delete)
     Files.createDirectories(dir)
-    new PbcWriterFactory(path, dictB64, useFsst)
+    new PbcWriterFactory(path, dictB64)
   }
 
   override def commit(messages: Array[WriterCommitMessage]): Unit = ()
   override def abort(messages: Array[WriterCommitMessage]): Unit = ()
 }
 
-private[sparkpbc] final class PbcWriterFactory(path: String, dictB64: String, useFsst: Boolean)
+private[sparkpbc] final class PbcWriterFactory(path: String, dictB64: String)
     extends DataWriterFactory {
   override def createWriter(partitionId: Int, taskId: Long): DataWriter[InternalRow] = {
     // Executor-local: dictionary deserialized once per partition, records
     // compressed one by one — the per-column-chunk codec of the brief.
-    // The file header's dictionary dictates the read mode, so the FSST
-    // table is stripped when this write is plain-PBC.
-    val dict0 = PbcDataSource.decodeDictOption(dictB64)
-    val dict = if (useFsst && dict0.fsst.isDefined) dict0 else dict0.copy(fsst = None)
-    val codec = new PbcCodec(dict, useFsst = dict.fsst.isDefined)
+    val dict = PbcDataSource.decodeDictOption(dictB64)
+    val codec = new PbcCodec(dict)
     val file = Paths.get(path, f"part-$partitionId%05d-$taskId.pbc")
     val writer = new PbcFiles.Writer(file, dict.serialize)
     new DataWriter[InternalRow] {

@@ -5,14 +5,16 @@ import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, Paths, StandardOpenOption}
 import scala.util.Using
+import scala.util.control.NonFatal
 import repro.core.PatternDictionary
 
 /** A `.pbc` file that does not have the layout [[PbcFiles]] describes:
   * a bad magic, an index that does not fit the file, offsets out of
-  * order or outside the payload region, or a file cut short (what a
-  * failed task attempt leaves).
+  * order or outside the payload region, a dictionary that does not
+  * parse, or a file cut short (what a failed task attempt leaves).
   */
-final class PbcCorruptException(message: String) extends IOException(message)
+final class PbcCorruptException(message: String, cause: Throwable = null)
+    extends IOException(message, cause)
 
 /** On-disk layout of a `.pbc` file — the container behind the `pbc`
   * DataSourceV2 format.
@@ -107,7 +109,11 @@ object PbcFiles {
     }
 
     /** The pattern dictionary every record of the file was written with. */
-    def dict(): PatternDictionary = PatternDictionary.deserialize(read(HeaderLen, dictLen).array)
+    def dict(): PatternDictionary = {
+      val bytes = read(HeaderLen, dictLen).array
+      try PatternDictionary.deserialize(bytes)
+      catch { case NonFatal(e) => throw new PbcCorruptException(s"$path: a damaged dictionary ($e)", e) }
+    }
 
     /** Record `i`'s compressed bytes: its index entries, then its payload. */
     def record(i: Int): Array[Byte] = {

@@ -22,34 +22,38 @@ object PbcSpark {
     PatternExtractor.train(sample, cfg)
   }
 
-  /** Compress `col` per record in executors → Dataset[Array[Byte]]. */
-  def compress(df: DataFrame, col: String, dict: PatternDictionary, useFsst: Boolean = false): Dataset[Array[Byte]] = {
+  /** Compress `col` per record in executors → Dataset[Array[Byte]]
+    * (PBC_F when `dict` carries an FSST table).
+    */
+  def compress(df: DataFrame, col: String, dict: PatternDictionary): Dataset[Array[Byte]] = {
     val spark = df.sparkSession
     import spark.implicits._
     val bcast = spark.sparkContext.broadcast(dict.serialize)
     df.select(col).as[String].mapPartitions { it =>
-      val codec = new PbcCodec(PatternDictionary.deserialize(bcast.value), useFsst)
+      val codec = new PbcCodec(PatternDictionary.deserialize(bcast.value))
       it.map(codec.compress)
     }
   }
 
   /** Decompress PBC records in executors → Dataset[String]. */
-  def decompress(ds: Dataset[Array[Byte]], dict: PatternDictionary, useFsst: Boolean = false): Dataset[String] = {
+  def decompress(ds: Dataset[Array[Byte]], dict: PatternDictionary): Dataset[String] = {
     val spark = ds.sparkSession
     import spark.implicits._
     val bcast = spark.sparkContext.broadcast(dict.serialize)
     ds.mapPartitions { it =>
-      val codec = new PbcCodec(PatternDictionary.deserialize(bcast.value), useFsst)
+      val codec = new PbcCodec(PatternDictionary.deserialize(bcast.value))
       it.map(codec.decompress)
     }
   }
 
-  /** Write a string column through the `pbc` DataSourceV2 format. */
+  /** Write a string column through the `pbc` DataSourceV2 format: PBC_F
+    * when `useFsst` and `dict` carries an FSST table, else plain PBC with
+    * the table left out of the file.
+    */
   def write(df: DataFrame, col: String, dict: PatternDictionary, dir: String, useFsst: Boolean = false): Unit =
     df.select(df(col).as("value"))
       .write.format("pbc")
-      .option("pbc.dict", PbcDataSource.encodeDictOption(dict))
-      .option("pbc.fsst", useFsst.toString)
+      .option("pbc.dict", PbcDataSource.encodeDictOption(if (useFsst) dict else dict.copy(fsst = None)))
       .mode("overwrite")
       .save(dir)
 

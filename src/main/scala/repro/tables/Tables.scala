@@ -102,7 +102,7 @@ object Tables {
 
   /** PBC over the dataset's dictionary; PBC_F when `fsst`. */
   private def pbc(dataset: String, fsst: Boolean): ValueCodec =
-    new ValueCodec.PbcF(new PbcCodec(Dictionaries.pbc(dataset, withFsst = fsst), useFsst = fsst))
+    new ValueCodec.PbcF(new PbcCodec(Dictionaries.pbc(dataset, withFsst = fsst)))
 
   private def pbcL(dataset: String, preset: Int): ByteCodec =
     new Framed("PBC_L", pbc(dataset, fsst = false), new LzmaCodec(preset))
@@ -167,18 +167,24 @@ object Tables {
     * decompression renders canonical JSON (round-trip is verified on the
     * canonical form because binary JSON formats do not preserve
     * whitespace — our generators emit canonical JSON, so the comparison
-    * is byte-exact here).
+    * is byte-exact here). The empty record, which is not JSON, is zero
+    * bytes: every Ion-B value has a type tag and every BP-D record a flag
+    * byte, so no JSON record encodes to nothing.
     */
   final class IonRecord(ion: IonB) extends ValueCodec {
     override val name = "Ion-B"
-    override def encode(r: String): Array[Byte] = ion.encode(MiniJson.parse(r))
-    override def decode(b: Array[Byte]): String = MiniJson.render(ion.decode(b))
+    override def encode(r: String): Array[Byte] =
+      if (r.isEmpty) Array.emptyByteArray else ion.encode(MiniJson.parse(r))
+    override def decode(b: Array[Byte]): String =
+      if (b.isEmpty) "" else MiniJson.render(ion.decode(b))
   }
 
   final class BpdRecord(schema: BinPackD.Schema) extends ValueCodec {
     override val name = "BP-D"
-    override def encode(r: String): Array[Byte] = BinPackD.encode(schema, MiniJson.parse(r))
-    override def decode(b: Array[Byte]): String = MiniJson.render(BinPackD.decode(schema, b))
+    override def encode(r: String): Array[Byte] =
+      if (r.isEmpty) Array.emptyByteArray else BinPackD.encode(schema, MiniJson.parse(r))
+    override def decode(b: Array[Byte]): String =
+      if (b.isEmpty) "" else MiniJson.render(BinPackD.decode(schema, b))
   }
 
   private def bpdLzma(dataset: String): ByteCodec =

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropUtil
 import repro.data.MachineData
+import repro.kvstore.ValueCodec
 import repro.tables.Bench.printable
 import scala.util.Random
 
@@ -15,7 +16,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     val maxLen = math.min(600, records.map(_.length).max + 1)
     val dict = PatternExtractor.train(records,
       PatternExtractor.Config(k = k, sampleSize = 60, maxPatternLen = maxLen, withFsst = withFsst))
-    new PbcCodec(dict, useFsst = withFsst)
+    new PbcCodec(dict)
   }
 
   /** Fails with both strings escaped (`Bench.printable`): the assertion
@@ -168,8 +169,7 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     val variant = if (withFsst) "PBC_F" else "PBC"
     test(s"property: $variant round-trips valid Unicode strings") {
       val codec = new PbcCodec(PatternExtractor.train(unicodeCorpus,
-        PatternExtractor.Config(k = 4, sampleSize = 60, maxPatternLen = 24, withFsst = withFsst)),
-        useFsst = withFsst)
+        PatternExtractor.Config(k = 4, sampleSize = 60, maxPatternLen = 24, withFsst = withFsst)))
       // no shrinking: ScalaCheck shrinks strings by Char, which splits
       // surrogate pairs into strings UTF-8 cannot carry
       check(Prop.forAllNoShrink(record)(s => codec.decompress(codec.compress(s)) == s), tests = 500)
@@ -179,6 +179,21 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
   test("PBC_F requires an FSST-bearing dictionary") {
     val dict = PatternExtractor.train(Vector("a", "b"), PatternExtractor.Config(k = 1))
     intercept[IllegalArgumentException](new PbcCodec(dict, useFsst = true))
+  }
+
+  test("the dictionary decides PBC or PBC_F; useFsst = false strips its table") {
+    val records = MachineData.records("Android", 300)
+    val dict = PatternExtractor.train(records, PatternExtractor.Config(k = 8, sampleSize = 60, withFsst = true))
+    val fsst = new PbcCodec(dict)
+    val plain = new PbcCodec(dict, useFsst = false)
+    assert(fsst.useFsst && !plain.useFsst && plain.dict.fsst.isEmpty)
+    assert(new ValueCodec.PbcF(fsst).name == "PBC_F")
+    assert(new ValueCodec.PbcF(plain).name == "PBC")
+    val viaDict = new PbcCodec(dict.copy(fsst = None))
+    records.foreach { r =>
+      assert(java.util.Arrays.equals(plain.compress(r), viaDict.compress(r)))
+      assert(fsst.decompress(fsst.compress(r)) == r)
+    }
   }
 
   test("PBC_F compresses at least as well as PBC on text-heavy data") {

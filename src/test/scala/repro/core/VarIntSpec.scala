@@ -1,12 +1,20 @@
 package repro.core
 
+import java.io.ByteArrayOutputStream
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
 
 class VarIntSpec extends AnyFunSuite with PropUtil {
 
+  /** `v` as a standalone varint. */
+  private def encode(v: Long): Array[Byte] = {
+    val out = new ByteArrayOutputStream(10)
+    VarInt.write(out, v)
+    out.toByteArray
+  }
+
   test("zero encodes to one byte") {
-    assert(VarInt.encode(0L).toSeq == Seq(0.toByte))
+    assert(encode(0L).toSeq == Seq(0.toByte))
     assert(VarInt.size(0L) == 1)
   }
 
@@ -21,13 +29,13 @@ class VarIntSpec extends AnyFunSuite with PropUtil {
   }
 
   test("Long.MaxValue round-trips") {
-    val b = VarInt.encode(Long.MaxValue)
+    val b = encode(Long.MaxValue)
     assert(VarInt.read(b, 0) == ((Long.MaxValue, b.length)))
   }
 
   test("negative longs round-trip as unsigned 64-bit (10 bytes)") {
     for (v <- Seq(-1L, -5L, Long.MinValue)) {
-      val b = VarInt.encode(v)
+      val b = encode(v)
       assert(b.length == 10)
       assert(VarInt.read(b, 0) == ((v, 10)))
     }
@@ -35,13 +43,13 @@ class VarIntSpec extends AnyFunSuite with PropUtil {
 
   test("size matches encode length for boundaries") {
     for (v <- Seq(0L, 1L, 127L, 128L, 300L, 16384L, 1L << 21, 1L << 28, 1L << 35, Long.MaxValue))
-      assert(VarInt.size(v) == VarInt.encode(v).length, s"v=$v")
+      assert(VarInt.size(v) == encode(v).length, s"v=$v")
   }
 
   test("round-trip property over random non-negative longs") {
     forAllSeeded() { r =>
       val v = r.nextLong().abs
-      val b = VarInt.encode(v)
+      val b = encode(v)
       val (got, n) = VarInt.read(b, 0)
       assert(got == v && n == b.length)
     }
@@ -114,5 +122,15 @@ class VarIntSpec extends AnyFunSuite with PropUtil {
     assert(in.readBytes(2).toSeq == Seq[Byte](1, 2))
     assert(in.readRest().toSeq == Seq[Byte](3, 4, 5))
     assert(in.remaining == 0)
+  }
+
+  test("ByteReader readBytes rejects a length past the end or below zero") {
+    val in = new ByteReader(Array[Byte](1, 2))
+    intercept[IndexOutOfBoundsException](in.readBytes(5))
+    intercept[IndexOutOfBoundsException](in.readBytes(-1))
+    intercept[IndexOutOfBoundsException](in.readBytes(1 << 30))
+    assert(in.pos == 0)
+    assert(in.readBytes(2).toSeq == Seq[Byte](1, 2))
+    assert(in.readBytes(0).isEmpty)
   }
 }

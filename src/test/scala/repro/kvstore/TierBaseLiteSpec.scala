@@ -13,9 +13,7 @@ class TierBaseLiteSpec extends AnyFunSuite with PropUtil {
   private lazy val zstdCodec = new ValueCodec.OverBytes("Zstd", new ZstdDictCodec(
     DictTraining.zstdDict(records.take(200).map(_.getBytes(UTF_8)))))
   private lazy val pbcCodec = new ValueCodec.PbcF(
-    new PbcCodec(
-      PatternExtractor.train(records, PatternExtractor.Config(k = 8, withFsst = true)),
-      useFsst = true))
+    new PbcCodec(PatternExtractor.train(records, PatternExtractor.Config(k = 8, withFsst = true))))
 
   private def codecs = Seq(ValueCodec.Uncompressed, zstdCodec, pbcCodec)
 

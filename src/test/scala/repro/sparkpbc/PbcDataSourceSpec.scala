@@ -1,8 +1,14 @@
 package repro.sparkpbc
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import org.apache.spark.sql.types.{DateType, LongType}
+import org.scalatest.Outcome
+import scala.collection.mutable
+import scala.util.Using
+import repro.{Oracle, SparkSpec}
 import repro.core.{PatternExtractor, PbcCodec}
 import repro.data.MachineData
 
@@ -11,11 +17,49 @@ import repro.data.MachineData
   */
 class PbcDataSourceSpec extends SparkSpec {
 
-  private def tempDir(): String =
-    Files.createTempDirectory("pbc-test").toString
+  private val dirs = mutable.Buffer.empty[Path]
+
+  /** A fresh directory, deleted with its contents when the test ends. */
+  private def tempDir(): String = {
+    val d = Files.createTempDirectory("pbc-test")
+    dirs += d
+    d.toString
+  }
+
+  override def withFixture(test: NoArgTest): Outcome =
+    try super.withFixture(test)
+    finally {
+      dirs.foreach { d =>
+        Using.resource(Files.walk(d))(_.sorted(Comparator.reverseOrder[Path]).forEach(f => Files.delete(f)))
+      }
+      dirs.clear()
+    }
 
   private lazy val kv1 = MachineData.df(spark, "KV1", 3000)
   private lazy val dict = PbcSpark.train(kv1, "value", PatternExtractor.Config(k = 8, sampleSize = 100))
+  private lazy val fsstDict =
+    PbcSpark.train(kv1, "value", PatternExtractor.Config(k = 8, sampleSize = 100, withFsst = true))
+
+  private def sortedValues(df: DataFrame): Seq[String] = {
+    import spark.implicits._
+    df.select("value").as[String].collect().sorted.toSeq
+  }
+
+  /** TPC-H-like `orders` at scale factor 0.003: 4 500 orders over 450
+    * customers, deterministic, so the DuckDB oracle sees the same input.
+    */
+  private def tpchOrders(): DataFrame = {
+    import spark.implicits._
+    spark.range(1, 4501).toDF("o_orderkey").select(
+      $"o_orderkey",
+      (rand(1) * 450 + 1).cast(LongType)                       as "o_custkey",
+      element_at(array(lit("O"), lit("F"), lit("P")),
+                 (rand(2) * 3 + 1).cast("int"))                as "o_orderstatus",
+      round(rand(3) * 500000 + 1000, 2)                        as "o_totalprice",
+      date_add(lit("1992-01-01").cast(DateType),
+               (rand(4) * 2406).cast("int"))                   as "o_orderdate",
+    )
+  }
 
   test("write + read round-trips all rows through the pbc format") {
     import spark.implicits._
@@ -51,12 +95,39 @@ class PbcDataSourceSpec extends SparkSpec {
     val part = PbcFiles.listParts(dir).head
     val n = PbcFiles.recordCount(part)
     assert(n == 3000)
-    val codec = new PbcCodec(PbcFiles.readDict(part), useFsst = false)
+    val codec = new PbcCodec(PbcFiles.readDict(part))
     val all = PbcFiles.readAll(part).records.map(codec.decompress)
     for (i <- Seq(0, 7, 1234, n - 1)) {
       val one = codec.decompress(PbcFiles.readRecord(part, i))
       assert(one == all(i))
     }
+  }
+
+  test("a part written as PBC_F decodes with the codec of its own dictionary") {
+    val dir = tempDir()
+    PbcSpark.write(kv1.coalesce(1), "value", fsstDict, dir, useFsst = true)
+    val part = PbcFiles.listParts(dir).head
+    val codec = new PbcCodec(PbcFiles.readDict(part))
+    assert(codec.useFsst)
+    val decoded = PbcFiles.readAll(part).records.map(codec.decompress)
+    assert(decoded.sorted == sortedValues(kv1))
+  }
+
+  test("a plain-PBC write leaves the FSST table out of the file") {
+    val dir = tempDir()
+    PbcSpark.write(kv1.coalesce(1), "value", fsstDict, dir, useFsst = false)
+    assert(PbcFiles.readDict(PbcFiles.listParts(dir).head).fsst.isEmpty)
+    assert(sortedValues(PbcSpark.read(spark, dir)) == sortedValues(kv1))
+  }
+
+  test("the writer given a dictionary with an FSST table writes PBC_F") {
+    val dir = tempDir()
+    kv1.write.format("pbc")
+      .option("pbc.dict", PbcDataSource.encodeDictOption(fsstDict))
+      .mode("overwrite").save(dir)
+    val parts = PbcFiles.listParts(dir)
+    assert(parts.nonEmpty && parts.forall(PbcFiles.readDict(_).fsst.isDefined))
+    assert(sortedValues(PbcSpark.read(spark, dir)) == sortedValues(kv1))
   }
 
   test("random access rejects out-of-range indices") {
@@ -89,7 +160,7 @@ class PbcDataSourceSpec extends SparkSpec {
   }
 
   test("oracle: aggregation over pbc-round-tripped orders matches DuckDB on the original") {
-    val orders = SynthData.orders(spark, sf = 0.003).cache()
+    val orders = tpchOrders().cache()
     import spark.implicits._
     // serialize orders to records, push through the pbc format, read back,
     // parse, aggregate — any codec corruption breaks result equality

@@ -66,7 +66,7 @@ class PbcFilesSpec extends AnyFunSuite with BeforeAndAfterAll with PropUtil {
     val fixture = resource("kv1-40.pbc")
     val records = MachineData.records("KV1", 40)
     withReader(fixture) { r =>
-      val codec = new PbcCodec(r.dict(), useFsst = true)
+      val codec = new PbcCodec(r.dict())
       assert(r.count == 40)
       assert(r.records().map(codec.decompress).toVector == records)
       assert(records.indices.forall(i => codec.decompress(r.record(i)) == records(i)))
@@ -150,6 +150,34 @@ class PbcFilesSpec extends AnyFunSuite with BeforeAndAfterAll with PropUtil {
       copyWith(p, "first.pbc")(putLong(_, offsetsStart, 9L)),
     )
     broken.foreach(f => intercept[PbcCorruptException](readEverything(f)))
+  }
+
+  test("a dictionary damaged at any byte parses or is a PbcCorruptException") {
+    val fixture = Path.of(getClass.getResource("/pbc/kv1-40.pbc").toURI)
+    val dictLen = ByteBuffer.wrap(Files.readAllBytes(fixture)).getInt(4)
+    var parsed = 0
+    for (at <- 8 until 8 + dictLen) {
+      val damaged = copyWith(fixture, "damaged.pbc") { b => b(at) = 0xff.toByte; b }
+      try { PbcFiles.readDict(damaged); parsed += 1 }
+      catch { case _: PbcCorruptException => () }
+    }
+    assert(parsed < dictLen)
+  }
+
+  test("dictionaries that claim 2^30 bytes, or have bytes left over, are PbcCorruptExceptions") {
+    val gib = Array[Byte](0x80.toByte, 0x80.toByte, 0x80.toByte, 0x80.toByte, 0x04) // varint 2^30
+    val damaged = Seq(
+      // one pattern of one wildcard whose encoder tag is 2^30 bytes long
+      "tag-length.pbc" -> (Array[Byte](1, 1, 0) ++ gib),
+      // no patterns and an FSST table of 2^30 symbols
+      "fsst-count.pbc" -> (Array[Byte](0, 1) ++ gib),
+      "left-over.pbc" -> (emptyDict :+ 0.toByte),
+    )
+    for ((name, dictBytes) <- damaged) {
+      val p = write(name, small, dictBytes)
+      intercept[PbcCorruptException](PbcFiles.readDict(p))
+      intercept[PbcCorruptException](PbcFiles.readAll(p))
+    }
   }
 
   test("offsets past 2 GiB are a PbcCorruptException before any allocation") {

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.codecs.{LzmaCodec, ZstdCodec}
 import repro.core.{PatternExtractor, PbcCodec}
 import repro.data.MachineData
-import repro.jsonbin.{BinPackD, MiniJson}
+import repro.jsonbin.{BinPackD, IonB, MiniJson}
 import repro.kvstore.ValueCodec
 
 class FramedSpec extends AnyFunSuite {
@@ -25,10 +25,18 @@ class FramedSpec extends AnyFunSuite {
     roundTrips(codec, "")
   }
 
-  test("BP-D + LZMA round-trips JSON records through the framed stream") {
-    val records = MachineData.records("cities", 200)
-    val schema = BinPackD.inferSchema(records.take(100).map(MiniJson.parse))
-    val codec = new Framed("BP-D+LZMA", new Tables.BpdRecord(schema), new LzmaCodec(6))
-    roundTrips(codec, records.mkString("\n"))
-  }
+  private lazy val cities = MachineData.records("cities", 200)
+  private lazy val parsed = cities.take(100).map(MiniJson.parse)
+
+  for ((name, codec) <- Seq(
+      "BP-D + LZMA" -> (() => new Framed("BP-D+LZMA", new Tables.BpdRecord(BinPackD.inferSchema(parsed)), new LzmaCodec(6))),
+      "Ion-B + LZMA" -> (() => new Framed("Ion-B+LZMA", new Tables.IonRecord(IonB.fileMode(parsed)), new LzmaCodec(6)))))
+    test(s"$name round-trips JSON records through the framed stream") {
+      val c = codec()
+      roundTrips(c, cities.mkString("\n"))
+      // empty records: an empty line and a trailing newline
+      roundTrips(c, cities.take(100).mkString("\n") + "\n\n" + cities.drop(100).mkString("\n") + "\n")
+      roundTrips(c, "\n")
+      roundTrips(c, "")
+    }
 }
