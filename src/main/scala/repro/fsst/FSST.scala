@@ -112,7 +112,18 @@ object Fsst {
       case k: Key => java.util.Arrays.equals(bytes, k.bytes)
       case _      => false
     }
-    def lexKey: String = bytes.map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  /** Candidate order: gain descending, then shorter first, then bytes
+    * as unsigned values — a total order, so training is deterministic.
+    */
+  private val byGain: Ordering[(Key, Long)] = (x, y) => {
+    val c = java.lang.Long.compare(y._2, x._2)
+    if (c != 0) c
+    else {
+      val l = Integer.compare(x._1.bytes.length, y._1.bytes.length)
+      if (l != 0) l else java.util.Arrays.compareUnsigned(x._1.bytes, y._1.bytes)
+    }
   }
 
   /** Train a symbol table on a sample of byte chunks. */
@@ -162,7 +173,7 @@ object Fsst {
       val singleSyms = singles.toVector.sorted.map(b => Array(b))
       val multis = gain.toVector
         .filter(_._1.bytes.length > 1)
-        .sortBy { case (k, g) => (-g, k.bytes.length, k.lexKey) }
+        .sorted(byGain)
         .take(MaxSymbols - math.min(singleSyms.size, MaxSymbols))
         .map(_._1.bytes)
       table = new FsstTable((singleSyms.take(MaxSymbols) ++ multis).toArray)
