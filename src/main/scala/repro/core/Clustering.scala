@@ -27,8 +27,11 @@ object Clustering {
     case object EditDistanceBased extends Criterion
   }
 
-  /** A cluster under construction. */
-  final case class Cluster(pattern: Pattern, size: Int, members: Vector[String]) {
+  /** A cluster under construction: the pattern that covers its `size`
+    * records. The records themselves are not kept — training picks field
+    * encoders from calibration captures, not from cluster members.
+    */
+  final case class Cluster(pattern: Pattern, size: Int) {
     lazy val histogram: Map[Int, Int] = OneGram.histogram(pattern)
   }
 
@@ -38,9 +41,6 @@ object Clustering {
       criterion: Criterion = Criterion.EncodingLengthBased,
       usePruning: Boolean = true
   )
-
-  /** Cap on members retained per cluster for later encoder selection. */
-  private val MaxMembersPerCluster = 64
 
   private final case class Entry(cost: Long, a: Int, b: Int, va: Long, vb: Long,
                                  exact: Boolean, merged: Pattern)
@@ -68,11 +68,7 @@ object Clustering {
     // Pre-merge identical records — merging duplicates has increment 0.
     val grouped = samples.groupBy(identity).toVector.sortBy(_._1)
     val initial = grouped.map { case (rec, occ) =>
-      Cluster(
-        Pattern.ofRecord(rec, cfg.maxPatternLen),
-        occ.size,
-        Vector.fill(math.min(occ.size, MaxMembersPerCluster))(rec)
-      )
+      Cluster(Pattern.ofRecord(rec, cfg.maxPatternLen), occ.size)
     }
     mergeDown(initial, cfg.k, cfg)
   }
@@ -130,11 +126,10 @@ object Clustering {
             if (e.merged != null) e.merged
             else // edit-distance criterion carries no merged pattern — build one
               EncodingLength.merge(x.pattern.tokens, y.pattern.tokens, x.size, y.size).get.merged
-          val members = (x.members ++ y.members).take(MaxMembersPerCluster)
           clusters.remove(e.a); clusters.remove(e.b)
           version(e.a) += 1; version(e.b) += 1
           val id = nextId; nextId += 1
-          clusters(id) = Cluster(merged, x.size + y.size, members)
+          clusters(id) = Cluster(merged, x.size + y.size)
           live -= 1
           clusters.keys.foreach(o => if (o != id) push(o, id))
         } else {

@@ -41,10 +41,15 @@ object PatternExtractor {
 
   /** Extract the dictionary from a corpus.
     *
-    * Per cluster: wildcards whose fields have observed values get the
-    * cheapest encoder accepting all of them (paper Table 1); clusters
-    * whose pattern degenerates (no literals) are dropped, their records
-    * served by other patterns or the outlier path.
+    * The clusters' patterns are candidates, tried longest-literal-first
+    * as the compressor will try them. A calibration sample of the corpus
+    * is matched through them, and a candidate enters the dictionary only
+    * if it is the first match of at least one calibration record: one
+    * that wins none would only cost every record a failed match. Each
+    * wildcard of a surviving pattern gets the cheapest encoder accepting
+    * all the values it captured (paper Table 1). Candidates without
+    * literals are dropped before calibration; their records are served by
+    * other patterns or the outlier path.
     *
     * Besides the k primary clusters, the merging is continued to a small
     * number of *coarse* clusters whose (more general, shorter-literal)
@@ -62,38 +67,34 @@ object PatternExtractor {
     val clusters = Clustering.cluster(samp, clusterCfg)
     val coarse = Clustering.mergeDown(clusters, math.max(2, cfg.k / 4), clusterCfg)
 
-    // Dedupe patterns, order by descending literal length (longest-match-
-    // first at compression time), drop degenerate all-wildcard patterns.
-    val patterns = (clusters ++ coarse)
+    // Order by descending literal length (longest-match-first at
+    // compression time); drop degenerate all-wildcard patterns, which
+    // would win records at one byte more than the outlier path.
+    val candidates = (clusters ++ coarse)
       .filter(_.pattern.litLen > 0)
-      .groupBy(_.pattern.tokens)
-      .values.map(_.head)
-      .toVector
       .sortBy(c => (-c.pattern.litLen, c.pattern.glob))
+      .map(_.pattern)
 
-    // Calibration: match a larger sample through the pattern list the way
+    // Calibration: match a larger sample through the candidates the way
     // the compressor will (longest-first glob match) and collect captures.
     val calib = sample(records, cfg.copy(sampleSize = CalibrationSize, seed = cfg.seed + 1))
     val captures: Map[Int, Vector[Vector[String]]] = calib
       .flatMap { r =>
-        patterns.indices.iterator
-          .map(i => i -> patterns(i).pattern.matchRecord(r))
+        candidates.indices.iterator
+          .map(i => i -> candidates(i).matchRecord(r))
           .collectFirst { case (i, Some(caps)) => i -> caps }
       }
       .groupMap(_._1)(_._2)
 
-    val compiled = patterns.zipWithIndex.flatMap { case (c, i) =>
-      // calibration captures preferred; members as fallback for patterns
-      // shadowed by longer ones during calibration
-      val caps = captures.getOrElse(i, c.members.flatMap(m => c.pattern.matchRecord(m)))
-      if (caps.isEmpty) None
-      else {
-        val encoders = (0 until c.pattern.numFields).map { f =>
-          FieldEncoder.select(caps.map(_(f)))
-        }.toVector
-        Some(CompiledPattern(c.pattern, encoders))
+    // A candidate enters the dictionary only if it is the first match of
+    // at least one calibration record; its encoders are chosen from those
+    // captures.
+    val compiled = candidates.indices.flatMap { i =>
+      captures.get(i).map { caps =>
+        val p = candidates(i)
+        CompiledPattern(p, Vector.tabulate(p.numFields)(f => FieldEncoder.select(caps.map(_(f)))))
       }
-    }
+    }.toVector
 
     val fsst =
       if (!cfg.withFsst) None

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
+import repro.data.MachineData
 import scala.util.Random
 
 class PatternExtractorSpec extends AnyFunSuite with PropUtil {
@@ -91,6 +92,19 @@ class PatternExtractorSpec extends AnyFunSuite with PropUtil {
     val d1 = PatternExtractor.train(trades(r1, 100), cfg)
     val d2 = PatternExtractor.train(trades(r2, 100), cfg)
     assert(d1.serialize.toSeq == d2.serialize.toSeq)
+  }
+
+  test("every pattern wins at least one record of a corpus no larger than the calibration sample") {
+    // 800 records: the whole corpus is calibrated, so a pattern that wins
+    // none of them is one that no calibration record selects
+    val records = MachineData.records("KV3", 800, 7)
+    val d = PatternExtractor.train(records,
+      PatternExtractor.Config(k = 16, sampleSize = 120, maxPatternLen = 320, withFsst = true))
+    val codec = new PbcCodec(d)
+    val wins = records.map(r => VarInt.read(codec.compress(r), 0)._1.toInt).toSet
+    val idle = d.patterns.indices.filterNot(i => wins(i + 1))
+    assert(idle.isEmpty, s"${idle.size} of ${d.size} patterns win no record: " +
+      idle.map(i => d.patterns(i).pattern.glob).mkString("; "))
   }
 
   test("empty corpus is rejected") {
