@@ -1,7 +1,19 @@
 package repro.core
 
+import java.io.IOException
 import java.nio.charset.StandardCharsets.UTF_8
 import repro.fsst.FsstTable
+
+/** Bytes that [[PbcCodec]] or the `.pbc` file writer cannot have made.
+  * For a compressed record: one cut short, one with bytes left over after
+  * its fields, or one naming a pattern the dictionary does not have. For
+  * a `.pbc` file: a bad magic, an index that does not fit the file,
+  * offsets out of order or outside the payload region, a dictionary that
+  * does not parse, or a file cut short (what a failed task attempt
+  * leaves).
+  */
+final class PbcCorruptException(message: String, cause: Throwable = null)
+    extends IOException(message, cause)
 
 /** Pattern-Based Compression codec (paper Fig. 1b/1c).
   *
@@ -135,18 +147,37 @@ final class PbcCodec(val dict: PatternDictionary) extends Serializable {
     out.toBytes
   }
 
-  def decompress(bytes: Array[Byte]): String = {
-    val in = new ByteReader(bytes)
-    val h = in.readVarInt()
-    if (h == 0L) readString(in, lengthPrefixed = false)
-    else {
-      val cp = dict.patterns((h - 1).toInt)
-      cp.pattern.renderWith(cp.encoders.length, { f =>
-        val e = cp.encoders(f)
-        if (viaString(e)) readString(in, lengthPrefixed = true) else e.decode(in)
-      })
+  /** The record `bytes` were compressed from. Bytes that `compress`
+    * cannot have made with this dictionary raise [[PbcCorruptException]]:
+    * a varint or field that runs past the end, a pattern id out of range,
+    * or bytes left over after a matched record's fields. Damage that
+    * keeps the layout decodes to some other record; only a checksum
+    * could catch that.
+    */
+  def decompress(bytes: Array[Byte]): String =
+    try {
+      val in = new ByteReader(bytes)
+      val h = in.readVarInt()
+      if (h == 0L) readString(in, lengthPrefixed = false)
+      else {
+        if (java.lang.Long.compareUnsigned(h, dict.size.toLong) > 0)
+          throw new PbcCorruptException(s"pattern id ${java.lang.Long.toUnsignedString(h - 1)} " +
+            s"out of range for ${dict.size} patterns")
+        val cp = dict.patterns((h - 1).toInt)
+        val record = cp.pattern.renderWith(cp.encoders.length, { f =>
+          val e = cp.encoders(f)
+          if (viaString(e)) readString(in, lengthPrefixed = true) else e.decode(in)
+        })
+        if (in.hasRemaining)
+          throw new PbcCorruptException(s"${in.remaining} bytes left after the fields of pattern ${h - 1}")
+        record
+      }
+    } catch {
+      // every read past the end of `bytes`, in the varints, the fields and
+      // the FSST payloads, surfaces as an out-of-bounds access
+      case e: IndexOutOfBoundsException =>
+        throw new PbcCorruptException(s"a ${bytes.length}-byte record cut short (${e.getMessage})", e)
     }
-  }
 }
 
 /** Length-prefixed record framing for block-level composition

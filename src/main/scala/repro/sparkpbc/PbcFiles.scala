@@ -1,20 +1,12 @@
 package repro.sparkpbc
 
-import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream, IOException}
+import java.io.{BufferedOutputStream, DataOutputStream, FileOutputStream}
 import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, Paths, StandardOpenOption}
 import scala.util.Using
 import scala.util.control.NonFatal
-import repro.core.PatternDictionary
-
-/** A `.pbc` file that does not have the layout [[PbcFiles]] describes:
-  * a bad magic, an index that does not fit the file, offsets out of
-  * order or outside the payload region, a dictionary that does not
-  * parse, or a file cut short (what a failed task attempt leaves).
-  */
-final class PbcCorruptException(message: String, cause: Throwable = null)
-    extends IOException(message, cause)
+import repro.core.{PatternDictionary, PbcCorruptException}
 
 /** On-disk layout of a `.pbc` file — the container behind the `pbc`
   * DataSourceV2 format.
@@ -78,7 +70,7 @@ object PbcFiles {
   /** An open `.pbc` file. Opening reads and checks the 16-byte tail;
     * the header and dictionary are read by [[dict]] and [[records]].
     * Every read is positional, so one `Reader` may serve several threads.
-    * Malformed files raise [[PbcCorruptException]].
+    * Malformed files raise [[repro.core.PbcCorruptException]].
     */
   final class Reader(path: Path) extends AutoCloseable {
     private val ch = FileChannel.open(path, StandardOpenOption.READ)

@@ -215,6 +215,38 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     }
   }
 
+  // ---- malformed input ----
+
+  private lazy val kv1 = MachineData.records("KV1", 400)
+  private lazy val kv1Codecs = Vector(trainOn(kv1, k = 16), trainOn(kv1, k = 16, withFsst = true))
+
+  test("a short, cut or over-long record and an unknown pattern id are PbcCorruptExceptions") {
+    for (codec <- kv1Codecs) {
+      val matched = kv1.map(codec.compress).find(_(0) != 0).get
+      for (bad <- Seq(Array[Byte](0x7f), Array(0xff.toByte, 0xff.toByte), Array.emptyByteArray,
+                      matched.dropRight(2), matched :+ 0.toByte))
+        intercept[PbcCorruptException](codec.decompress(bad))
+    }
+  }
+
+  test("property: damaged records decode or raise PbcCorruptException, nothing else") {
+    val outliers = Vector("", "completely different record", "héllo 世界 " + cp(0x1F600))
+    val encoded: Gen[(PbcCodec, Array[Byte])] = for {
+      codec <- Gen.oneOf(kv1Codecs)
+      rec <- Gen.frequency(8 -> Gen.oneOf(kv1), 1 -> Gen.oneOf(outliers))
+    } yield (codec, codec.compress(rec))
+    val byte: Gen[Byte] = Gen.choose(0, 255).map(_.toByte)
+    val damaged: Gen[(PbcCodec, Array[Byte])] = Gen.oneOf(
+      Gen.zip(Gen.oneOf(kv1Codecs), Gen.listOf(byte).map(_.toArray)),
+      for ((c, b) <- encoded; n <- Gen.choose(0, b.length)) yield (c, b.take(n)),
+      for ((c, b) <- encoded; i <- Gen.choose(0, b.length - 1); v <- byte) yield (c, b.updated(i, v)),
+      for ((c, b) <- encoded; extra <- Gen.nonEmptyListOf(byte)) yield (c, b ++ extra))
+    check(Prop.forAllNoShrink(damaged) { case (codec, bytes) =>
+      try { codec.decompress(bytes); true }
+      catch { case _: PbcCorruptException => true }
+    }, tests = 2000)
+  }
+
   // ---- framing ----
 
   test("Framing pack/unpack round-trips") {

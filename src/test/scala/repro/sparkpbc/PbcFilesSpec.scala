@@ -7,7 +7,7 @@ import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.{Random, Using}
 import repro.PropUtil
-import repro.core.{PatternDictionary, PbcCodec}
+import repro.core.{PatternDictionary, PbcCodec, PbcCorruptException}
 import repro.data.MachineData
 
 /** The `.pbc` container on its own: the writer's bytes, the `Reader`'s
