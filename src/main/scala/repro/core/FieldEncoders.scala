@@ -5,8 +5,8 @@ import java.nio.charset.StandardCharsets.UTF_8
 /** Field encoders for residual subsequences (paper Table 1).
   *
   * Every wildcard field of a pattern carries one encoder, selected once
-  * at pattern-extraction time from the cluster members and fixed in the
-  * dictionary. Encoders must be able to *reject* a value at compression
+  * at pattern-extraction time from the values that field captured in the
+  * calibration records the pattern won, and fixed in the dictionary. Encoders must be able to *reject* a value at compression
   * time (`accepts`) so that a record whose field violates the encoder
   * falls through to the next pattern / outlier path instead of
   * corrupting the stream.

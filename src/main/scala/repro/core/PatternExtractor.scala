@@ -15,7 +15,6 @@ object PatternExtractor {
       /** Pattern length cap — longer records keep a trailing wildcard. */
       maxPatternLen: Int = 1024,
       criterion: Clustering.Criterion = Clustering.Criterion.EncodingLengthBased,
-      usePruning: Boolean = true,
       /** Train an FSST table on residuals for the `PBC_F` variant. */
       withFsst: Boolean = false,
       seed: Long = 42L
@@ -41,15 +40,12 @@ object PatternExtractor {
 
   /** Extract the dictionary from a corpus.
     *
-    * The clusters' patterns are candidates, tried longest-literal-first
-    * as the compressor will try them. A calibration sample of the corpus
-    * is matched through them, and a candidate enters the dictionary only
-    * if it is the first match of at least one calibration record: one
-    * that wins none would only cost every record a failed match. Each
-    * wildcard of a surviving pattern gets the cheapest encoder accepting
-    * all the values it captured (paper Table 1). Candidates without
-    * literals are dropped before calibration; their records are served by
-    * other patterns or the outlier path.
+    * A cluster's pattern enters the dictionary only if it is the first
+    * match of at least one calibration record, tried longest-literal-first
+    * as the compressor tries them; each wildcard gets the cheapest encoder
+    * accepting every value it captured there (paper Table 1). Patterns
+    * without literals are dropped; their records go to other patterns or
+    * the outlier path.
     *
     * Besides the k primary clusters, the merging is continued to a small
     * number of *coarse* clusters whose (more general, shorter-literal)
@@ -63,7 +59,7 @@ object PatternExtractor {
   def train(records: Seq[String], cfg: Config = Config()): PatternDictionary = {
     require(records.nonEmpty, "cannot train on an empty corpus")
     val samp = sample(records, cfg)
-    val clusterCfg = Clustering.Config(cfg.k, cfg.maxPatternLen, cfg.criterion, cfg.usePruning)
+    val clusterCfg = Clustering.Config(cfg.k, cfg.maxPatternLen, cfg.criterion)
     val clusters = Clustering.cluster(samp, clusterCfg)
     val coarse = Clustering.mergeDown(clusters, math.max(2, cfg.k / 4), clusterCfg)
 
@@ -86,15 +82,11 @@ object PatternExtractor {
       }
       .groupMap(_._1)(_._2)
 
-    // A candidate enters the dictionary only if it is the first match of
-    // at least one calibration record; its encoders are chosen from those
-    // captures.
-    val compiled = candidates.indices.flatMap { i =>
-      captures.get(i).map { caps =>
-        val p = candidates(i)
-        CompiledPattern(p, Vector.tabulate(p.numFields)(f => FieldEncoder.select(caps.map(_(f)))))
-      }
-    }.toVector
+    // a candidate that no calibration record selects is left out
+    val compiled = captures.toVector.sortBy(_._1).map { case (i, caps) =>
+      val p = candidates(i)
+      CompiledPattern(p, Vector.tabulate(p.numFields)(f => FieldEncoder.select(caps.map(_(f)))))
+    }
 
     val fsst =
       if (!cfg.withFsst) None

@@ -114,17 +114,12 @@ object Fsst {
     }
   }
 
-  /** Candidate order: gain descending, then shorter first, then bytes
-    * as unsigned values — a total order, so training is deterministic.
+  /** Gain descending, then shorter first, then unsigned bytes: a total
+    * order, so training is deterministic.
     */
-  private val byGain: Ordering[(Key, Long)] = (x, y) => {
-    val c = java.lang.Long.compare(y._2, x._2)
-    if (c != 0) c
-    else {
-      val l = Integer.compare(x._1.bytes.length, y._1.bytes.length)
-      if (l != 0) l else java.util.Arrays.compareUnsigned(x._1.bytes, y._1.bytes)
-    }
-  }
+  private val byGain: Ordering[(Key, Long)] = Ordering.by[(Key, Long), Long](-_._2)
+    .orElseBy(_._1.bytes.length)
+    .orElse((x, y) => java.util.Arrays.compareUnsigned(x._1.bytes, y._1.bytes))
 
   /** Train a symbol table on a sample of byte chunks. */
   def train(sampleChunks: Iterable[Array[Byte]]): FsstTable = {
