@@ -72,8 +72,12 @@ object EncodingLength {
     // backpointers per (cell, layer): packed byte
     //   bits 0-1: direction (1 = diag, 2 = up, 3 = left)
     //   bit  2  : source layer (0 = Pattern, 1 = Residual)
-    val backP = Array.ofDim[Byte](n + 1, m + 1)
-    val backR = Array.ofDim[Byte](n + 1, m + 1)
+    // allocated without a ClassTag: the ClassTag cache holds its tags
+    // weakly, so after the first GC the compiled DP met a null there and
+    // was deoptimized in the middle of training
+    val backP = new Array[Array[Byte]](n + 1)
+    val backR = new Array[Array[Byte]](n + 1)
+    for (i <- 0 to n) { backP(i) = new Array[Byte](m + 1); backR(i) = new Array[Byte](m + 1) }
 
     @inline def stepCost(srcCost: Long, srcIsPattern: Boolean, isWild: Boolean, size: Int): Long = {
       if (srcCost >= Inf) return Inf

@@ -41,17 +41,20 @@ final case class Pattern(tokens: Vector[PTok]) extends Serializable {
 
   /** Literal chunks around the fields: `chunk(0) f0 chunk(1) f1 ... chunk(n)`
     * (possibly empty chunks) — precomputed so rendering appends whole
-    * strings instead of single code points.
+    * strings instead of single code points. Built without a ClassTag,
+    * like the DP's arrays in [[EncodingLength.merge]], which constructs
+    * patterns.
     */
   private val chunks: Array[String] = {
-    val out = Array.newBuilder[String]
+    val out = new Array[String](tokens.count(_ == Wild) + 1)
     val sb = new java.lang.StringBuilder
+    var f = 0
     tokens.foreach {
       case Lit(c) => sb.appendCodePoint(c)
-      case Wild   => out += sb.toString; sb.setLength(0)
+      case Wild   => out(f) = sb.toString; sb.setLength(0); f += 1
     }
-    out += sb.toString
-    out.result()
+    out(f) = sb.toString
+    out
   }
 
   /** Literal runs in order. */
