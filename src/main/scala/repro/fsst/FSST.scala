@@ -1,6 +1,8 @@
 package repro.fsst
 
 import java.io.ByteArrayOutputStream
+import java.lang.invoke.{MethodHandles, VarHandle}
+import java.nio.ByteOrder
 import repro.core.{ByteReader, ByteWriter}
 
 /** Fast Static Symbol Table (FSST; Boncz, Neumann & Leis, VLDB 2020),
@@ -12,6 +14,21 @@ import repro.core.{ByteReader, ByteWriter}
   * access — FSST is both a baseline (Table 3) and the residual backbone
   * of `PBC_F`.
   *
+  * `encode` is greedy: at each position it emits the longest symbol that
+  * matches there, or an escape. Among equal symbols (a hand-built or
+  * deserialized table may repeat one) the highest code wins. The matcher
+  * follows the FSST paper's kernel over an index built once per table:
+  *  - a 65 536-entry short-code table keyed by the next two bytes, holding
+  *    the best match of at most two bytes (the 2-byte symbol, else the
+  *    1-byte symbol of the first byte, else an escape);
+  *  - the symbols of 3–8 bytes in buckets keyed by their first two bytes,
+  *    longest first, each a little-endian word with a mask, so one 8-byte
+  *    load of the input and one masked compare test a symbol. Every symbol
+  *    sits in its bucket, so no match is lost to a collision.
+  * Within the last 7 bytes the load is zero-padded, and a symbol also has
+  * to fit in what is left. `decode` copies each symbol's word into an
+  * output array sized in a first pass. Neither keeps state between calls.
+  *
   * Training follows the paper's iterative bottom-up construction: encode
   * the sample with the current table, count emitted symbols and adjacent
   * pairs, score candidates by `gain = count * length`, keep the best 255.
@@ -20,64 +37,57 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
   require(symbols.length <= 255, s"at most 255 symbols, got ${symbols.length}")
   require(symbols.forall(s => s.length >= 1 && s.length <= 8), "symbols are 1..8 bytes")
 
-  /** First-byte index: candidates sorted longest-first for greedy match. */
-  @transient private lazy val byFirst: Array[Array[Int]] = {
-    val tmp = Array.fill(256)(List.empty[Int])
-    symbols.indices.foreach { i =>
-      val fb = symbols(i)(0) & 0xff
-      tmp(fb) = i :: tmp(fb)
-    }
-    tmp.map(_.sortBy(i => -symbols(i).length).toArray)
-  }
-
-  private def matchesAt(input: Array[Byte], pos: Int, sym: Array[Byte]): Boolean = {
-    if (pos + sym.length > input.length) return false
-    var i = 0
-    while (i < sym.length) {
-      if (input(pos + i) != sym(i)) return false
-      i += 1
-    }
-    true
-  }
-
-  /** Code of the longest symbol matching at `pos`, or -1. */
-  def longestMatch(input: Array[Byte], pos: Int): Int = {
-    val cands = byFirst(input(pos) & 0xff)
-    var ci = 0
-    while (ci < cands.length) {
-      if (matchesAt(input, pos, symbols(cands(ci)))) return cands(ci)
-      ci += 1
-    }
-    -1
-  }
+  @transient private[fsst] lazy val index: FsstTable.Index = new FsstTable.Index(symbols)
 
   /** Greedy longest-match encoding. */
   def encode(input: Array[Byte]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(math.max(16, input.length))
+    val ix = index
+    val out = new Array[Byte](2 * input.length)
     var pos = 0
+    var o = 0
     while (pos < input.length) {
-      val code = longestMatch(input, pos)
-      if (code >= 0) {
-        out.write(code)
-        pos += symbols(code).length
-      } else {
-        out.write(0xff) // escape
-        out.write(input(pos))
-        pos += 1
-      }
+      val m = ix.matchAt(input, pos)
+      val code = m & 0xff
+      out(o) = code.toByte
+      if (code == FsstTable.Escape) { out(o + 1) = input(pos); o += 2 }
+      else o += 1
+      pos += m >>> 8
     }
-    out.toByteArray
+    java.util.Arrays.copyOf(out, o)
   }
 
+  /** The bytes `coded` was encoded from. A code past the end of the table
+    * or an escape with no byte after it raises an
+    * `IndexOutOfBoundsException`.
+    */
   def decode(coded: Array[Byte]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(coded.length * 2)
-    var pos = 0
-    while (pos < coded.length) {
-      val c = coded(pos) & 0xff
-      if (c == 0xff) { out.write(coded(pos + 1)); pos += 2 }
-      else { val s = symbols(c); out.write(s, 0, s.length); pos += 1 }
+    val ix = index
+    var n = 0
+    var p = 0
+    while (p < coded.length) {
+      val c = coded(p) & 0xff
+      if (c == FsstTable.Escape) { n += 1; p += 2 }
+      else { n += ix.symLen(c); p += 1 }
     }
-    out.toByteArray
+    if (p > coded.length) throw new IndexOutOfBoundsException("FSST code ends in an escape with no byte")
+    val out = new Array[Byte](n)
+    p = 0
+    var o = 0
+    while (p < coded.length) {
+      val c = coded(p) & 0xff
+      if (c == FsstTable.Escape) { out(o) = coded(p + 1); o += 1; p += 2 }
+      else {
+        val w = ix.symWord(c)
+        val len = ix.symLen(c)
+        // a whole word where it fits: the bytes past `len` are written
+        // again by the symbols that follow
+        if (o + 8 <= n) FsstTable.storeWord(out, o, w)
+        else { var k = 0; while (k < len) { out(o + k) = (w >>> (8 * k)).toByte; k += 1 } }
+        o += len
+        p += 1
+      }
+    }
+    out
   }
 
   def serialize(out: ByteWriter): Unit = {
@@ -98,6 +108,87 @@ object FsstTable {
 
   /** The identity table: everything escaped (used before training). */
   val empty: FsstTable = new FsstTable(Array.empty)
+
+  private[fsst] final val Escape = 0xff
+
+  private val Word: VarHandle = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+
+  private def storeWord(b: Array[Byte], pos: Int, w: Long): Unit = Word.set(b, pos, w)
+
+  /** The 8 bytes at `pos` as a little-endian word, zero-padded past the
+    * end of `b`.
+    */
+  private def loadWord(b: Array[Byte], pos: Int): Long =
+    if (b.length - pos >= 8) Word.get(b, pos): Long
+    else {
+      var w = 0L
+      var i = b.length - 1
+      while (i >= pos) { w = (w << 8) | (b(i) & 0xffL); i -= 1 }
+      w
+    }
+
+  /** The matcher's tables for one symbol table. A match is encoded as
+    * `(length << 8) | code`, an escape as `(1 << 8) | Escape`.
+    */
+  private[fsst] final class Index(symbols: Array[Array[Byte]]) {
+    val symLen: Array[Int] = symbols.map(_.length)
+    val symWord: Array[Long] = symbols.map(loadWord(_, 0))
+
+    private def prefix(code: Int): Int = symWord(code).toInt & 0xffff
+
+    // codes ascend, so among equal symbols the highest code is written last
+    private val single: Array[Short] = {
+      val t = Array.fill[Short](256)(((1 << 8) | Escape).toShort)
+      for (c <- symbols.indices if symLen(c) == 1) t(prefix(c)) = ((1 << 8) | c).toShort
+      t
+    }
+    private val short: Array[Short] = {
+      val t = new Array[Short](1 << 16)
+      var key = 0
+      while (key < t.length) { t(key) = single(key & 0xff); key += 1 }
+      for (c <- symbols.indices if symLen(c) == 2) t(prefix(c)) = ((2 << 8) | c).toShort
+      t
+    }
+
+    // symbols of 3-8 bytes by first two bytes, then longest and highest code first
+    private val long: Array[Int] =
+      symbols.indices.filter(symLen(_) > 2).sortBy(c => (prefix(c), -symLen(c), -c)).toArray
+    private val longWord: Array[Long] = long.map(symWord)
+    private val longMask: Array[Long] = long.map(c => -1L >>> (64 - 8 * symLen(c)))
+    private val longMatch: Array[Int] = long.map(c => (symLen(c) << 8) | c)
+    /** `(start << 8) | end` of each prefix's run in `long`: at most 255
+      * symbols, so both fit in a byte.
+      */
+    private val bucket: Array[Char] = {
+      val t = new Array[Char](1 << 16)
+      var i = 0
+      while (i < long.length) {
+        val key = prefix(long(i))
+        var j = i + 1
+        while (j < long.length && prefix(long(j)) == key) j += 1
+        t(key) = ((i << 8) | j).toChar
+        i = j
+      }
+      t
+    }
+
+    /** The longest symbol that matches `in` at `pos`, or an escape. */
+    def matchAt(in: Array[Byte], pos: Int): Int = {
+      val rem = in.length - pos
+      val word = loadWord(in, pos)
+      val key = word.toInt & 0xffff
+      val range: Int = bucket(key)
+      var i = range >>> 8
+      val end = range & 0xff
+      while (i < end) {
+        val m = longMatch(i)
+        if ((word & longMask(i)) == longWord(i) && (m >>> 8) <= rem) return m
+        i += 1
+      }
+      // with one byte left, `key` is that byte
+      if (rem >= 2) short(key) else single(key)
+    }
+  }
 }
 
 object Fsst {
@@ -136,13 +227,15 @@ object Fsst {
     var iter = 0
     while (iter < Iterations) {
       // Walk the sample with the current table, recording emitted units.
-      val unitPos = scala.collection.mutable.ArrayBuffer.empty[Int]
-      val unitLen = scala.collection.mutable.ArrayBuffer.empty[Int]
+      val index = table.index
+      val unitPos = new Array[Int](sample.length)
+      val unitLen = new Array[Int](sample.length)
+      var units = 0
       var pos = 0
       while (pos < sample.length) {
-        val code = if (table.symbols.isEmpty) -1 else table.longestMatch(sample, pos)
-        val len = if (code >= 0) table.symbols(code).length else 1
-        unitPos += pos; unitLen += len
+        val len = index.matchAt(sample, pos) >>> 8
+        unitPos(units) = pos; unitLen(units) = len
+        units += 1
         pos += len
       }
       // Count units and adjacent-pair concatenations; gain = freq * len.
@@ -153,9 +246,9 @@ object Fsst {
           gain.update(k, gain.getOrElse(k, 0L) + l)
         }
       var u = 0
-      while (u < unitPos.length) {
+      while (u < units) {
         bump(unitPos(u), unitLen(u))
-        if (u + 1 < unitPos.length)
+        if (u + 1 < units)
           bump(unitPos(u), math.min(unitLen(u) + unitLen(u + 1), MaxSymbolLen))
         u += 1
       }

@@ -63,7 +63,7 @@ final class TierBaseLite(val codec: ValueCodec) {
     val b = codec.encode(value)
     val old = map.put(key, b)
     if (old != null) valueBytes0 -= old.length
-    else keyBytes0 += key.length.toLong
+    else keyBytes0 += key.getBytes(UTF_8).length.toLong
     valueBytes0 += b.length.toLong
   }
 

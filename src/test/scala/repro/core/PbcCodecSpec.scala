@@ -229,6 +229,13 @@ class PbcCodecSpec extends AnyFunSuite with PropUtil {
     }
   }
 
+  test("a PBC_F outlier whose FSST payload ends in a lone escape is a PbcCorruptException") {
+    // outlier id, FSST-coded flag, then an escaped 'x' and an escape with nothing after it
+    val bad = Array[Byte](0, 1, 0xff.toByte, 'x', 0xff.toByte)
+    assert(kv1Codecs(1).decompress(bad.dropRight(1)) == "x")
+    intercept[PbcCorruptException](kv1Codecs(1).decompress(bad))
+  }
+
   test("property: damaged records decode or raise PbcCorruptException, nothing else") {
     val outliers = Vector("", "completely different record", "héllo 世界 " + cp(0x1F600))
     val encoded: Gen[(PbcCodec, Array[Byte])] = for {

@@ -2,7 +2,8 @@ package repro.fsst
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
-import repro.core.{ByteReader, ByteWriter}
+import repro.core.{ByteReader, ByteWriter, PatternExtractor}
+import repro.data.MachineData
 import repro.tables.Bench.printable
 import java.nio.charset.StandardCharsets.UTF_8
 
@@ -98,4 +99,67 @@ class FsstSpec extends AnyFunSuite with PropUtil {
     assert(t.encode(Array.empty[Byte]).isEmpty)
     assert(t.decode(Array.empty[Byte]).isEmpty)
   }
+
+  test("decode rejects an escape with no byte after it and a code past the table") {
+    val t = new FsstTable(Array("ab".getBytes(UTF_8)))
+    for (bad <- Seq(Array(0xff.toByte), Array[Byte](0, 0xff.toByte), Array[Byte](1), Array[Byte](0, 0xfe.toByte)))
+      intercept[IndexOutOfBoundsException](t.decode(bad))
+    intercept[IndexOutOfBoundsException](FsstTable.empty.decode(Array[Byte](0)))
+  }
+
+  // ---- the indexed coder against ReferenceFsst ----
+
+  private def hex(b: Array[Byte]): String = b.map(x => f"${x & 0xff}%02x").mkString
+
+  private def assertAsReference(t: FsstTable, ref: ReferenceFsst, in: Array[Byte]): Unit = {
+    val coded = t.encode(in)
+    val expected = ref.encode(in)
+    if (!java.util.Arrays.equals(coded, expected))
+      fail(s"encode(${hex(in)}) = ${hex(coded)}, reference ${hex(expected)}; table ${t.symbols.map(hex).mkString(" ")}")
+    assert(java.util.Arrays.equals(t.decode(coded), ref.decode(coded)))
+    assert(java.util.Arrays.equals(t.decode(coded), in), s"lossy on ${hex(in)}")
+  }
+
+  test("property: random tables with colliding and repeated symbols code as the reference does") {
+    forAllSeeded(1500) { r =>
+      // 0x00 is a letter so that the zero padding of the last word could
+      // match; 0xff is the escape code's byte value
+      val letters = r.shuffle(Vector[Byte](0, 'a', 'b', 'c')).take(3 + r.nextInt(2)) :+ 0xff.toByte
+      def bytes(n: Int) = Array.fill(n)(letters(r.nextInt(letters.length)))
+      // one symbol in six repeats an earlier one under a higher code
+      val syms = new Array[Array[Byte]](r.nextInt(256))
+      for (i <- syms.indices)
+        syms(i) = if (i > 0 && r.nextInt(6) == 0) syms(r.nextInt(i)).clone() else bytes(1 + r.nextInt(8))
+      val t = new FsstTable(syms)
+      val ref = new ReferenceFsst(syms)
+      for (_ <- 0 until 40)
+        assertAsReference(t, ref, bytes(if (r.nextBoolean()) 1 + r.nextInt(8) else r.nextInt(41)))
+      // any code string, not only what encode makes
+      for (_ <- 0 until 10) {
+        val coded = Array.newBuilder[Byte]
+        for (_ <- 0 until r.nextInt(12)) {
+          val c = r.nextInt(syms.length + 1)
+          if (c == syms.length) { coded += 0xff.toByte; coded += r.nextInt(256).toByte }
+          else coded += c.toByte
+        }
+        val c = coded.result()
+        assert(java.util.Arrays.equals(t.decode(c), ref.decode(c)), s"decode(${hex(c)})")
+      }
+    }
+  }
+
+  // perfbench's corpora and training settings
+  for ((name, n) <- Seq("Android" -> 100000, "KV1" -> 70000, "HDFS" -> 25600))
+    test(s"the trained $name table codes its records and their fields as the reference does") {
+      val records = MachineData.records(name, n)
+      val dict = PatternExtractor.train(records,
+        PatternExtractor.Config(k = 16, sampleSize = 120, maxPatternLen = 320, withFsst = true))
+      val t = dict.fsst.get
+      val ref = new ReferenceFsst(t.symbols)
+      records.foreach { rec =>
+        assertAsReference(t, ref, rec.getBytes(UTF_8))
+        dict.patterns.iterator.flatMap(_.pattern.matchRecord(rec)).take(1).flatten
+          .foreach(f => assertAsReference(t, ref, f.getBytes(UTF_8)))
+      }
+    }
 }

@@ -48,6 +48,12 @@ class TierBaseLiteSpec extends AnyFunSuite with PropUtil {
     assert(store.valueBytes == records.take(50).map(_.getBytes(UTF_8).length.toLong).sum)
   }
 
+  test("memory accounting counts key bytes in UTF-8") {
+    val store = new TierBaseLite(ValueCodec.Uncompressed)
+    store.set("ключ", "v")
+    assert(store.memoryBytes == 8 + 1 + store.perEntryOverhead)
+  }
+
   test("compressed codecs use less value memory than uncompressed") {
     def bytesWith(c: ValueCodec): Long = {
       val s = new TierBaseLite(c)
