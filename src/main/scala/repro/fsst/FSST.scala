@@ -1,8 +1,7 @@
 package repro.fsst
 
 import java.io.ByteArrayOutputStream
-import java.lang.invoke.{MethodHandles, VarHandle}
-import java.nio.ByteOrder
+import java.nio.{ByteBuffer, ByteOrder}
 import repro.core.{ByteReader, ByteWriter}
 
 /** Fast Static Symbol Table (FSST; Boncz, Neumann & Leis, VLDB 2020),
@@ -27,7 +26,8 @@ import repro.core.{ByteReader, ByteWriter}
   *    sits in its bucket, so no match is lost to a collision.
   * Within the last 7 bytes the load is zero-padded, and a symbol also has
   * to fit in what is left. `decode` copies each symbol's word into an
-  * output array sized in a first pass. Neither keeps state between calls.
+  * output array sized in a first pass. Neither keeps state between calls,
+  * and the index is not part of the serialized table.
   *
   * Training follows the paper's iterative bottom-up construction: encode
   * the sample with the current table, count emitted symbols and adjacent
@@ -37,16 +37,24 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
   require(symbols.length <= 255, s"at most 255 symbols, got ${symbols.length}")
   require(symbols.forall(s => s.length >= 1 && s.length <= 8), "symbols are 1..8 bytes")
 
-  @transient private[fsst] lazy val index: FsstTable.Index = new FsstTable.Index(symbols)
+  /** Built with the table, not lazily: a lazy field's first read on each
+    * new table trapped out of the compiled `encode` and `PbcCodec.compress`
+    * (an `unstable_if` deoptimization) every time a dictionary was
+    * trained. Not serialized; `readResolve` builds it again.
+    */
+  @transient private[fsst] val index: FsstTable.Index = new FsstTable.Index(symbols)
+
+  private def readResolve(): AnyRef = new FsstTable(symbols)
 
   /** Greedy longest-match encoding. */
   def encode(input: Array[Byte]): Array[Byte] = {
     val ix = index
+    val words = FsstTable.littleEndian(input)
     val out = new Array[Byte](2 * input.length)
     var pos = 0
     var o = 0
     while (pos < input.length) {
-      val m = ix.matchAt(input, pos)
+      val m = ix.matchAt(words, pos)
       val code = m & 0xff
       out(o) = code.toByte
       if (code == FsstTable.Escape) { out(o + 1) = input(pos); o += 2 }
@@ -77,12 +85,10 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
       val c = coded(p) & 0xff
       if (c == FsstTable.Escape) { out(o) = coded(p + 1); o += 1; p += 2 }
       else {
-        val w = ix.symWord(c)
+        val from = ix.symStart(c)
         val len = ix.symLen(c)
-        // a whole word where it fits: the bytes past `len` are written
-        // again by the symbols that follow
-        if (o + 8 <= n) FsstTable.storeWord(out, o, w)
-        else { var k = 0; while (k < len) { out(o + k) = (w >>> (8 * k)).toByte; k += 1 } }
+        var k = 0
+        while (k < len) { out(o + k) = ix.symBytes(from + k); k += 1 }
         o += len
         p += 1
       }
@@ -106,24 +112,26 @@ object FsstTable {
     new FsstTable(Array.fill(n.toInt)(in.readBytes(in.readVarInt().toInt)))
   }
 
+  private[fsst] final val Escape = 0xff
+
   /** The identity table: everything escaped (used before training). */
   val empty: FsstTable = new FsstTable(Array.empty)
 
-  private[fsst] final val Escape = 0xff
-
-  private val Word: VarHandle = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
-
-  private def storeWord(b: Array[Byte], pos: Int, w: Long): Unit = Word.set(b, pos, w)
+  /** `b` read in little-endian words. A `ByteBuffer`, not a `VarHandle`:
+    * the JIT compiles a `VarHandle` access to a plain load only when the
+    * handle is a static final field, which a Scala object cannot declare.
+    */
+  private[fsst] def littleEndian(b: Array[Byte]): ByteBuffer = ByteBuffer.wrap(b).order(ByteOrder.LITTLE_ENDIAN)
 
   /** The 8 bytes at `pos` as a little-endian word, zero-padded past the
     * end of `b`.
     */
-  private def loadWord(b: Array[Byte], pos: Int): Long =
-    if (b.length - pos >= 8) Word.get(b, pos): Long
+  private def loadWord(b: ByteBuffer, pos: Int): Long =
+    if (b.limit() - pos >= 8) b.getLong(pos)
     else {
       var w = 0L
-      var i = b.length - 1
-      while (i >= pos) { w = (w << 8) | (b(i) & 0xffL); i -= 1 }
+      var i = b.limit() - 1
+      while (i >= pos) { w = (w << 8) | (b.get(i) & 0xffL); i -= 1 }
       w
     }
 
@@ -132,7 +140,10 @@ object FsstTable {
     */
   private[fsst] final class Index(symbols: Array[Array[Byte]]) {
     val symLen: Array[Int] = symbols.map(_.length)
-    val symWord: Array[Long] = symbols.map(loadWord(_, 0))
+    private val symWord: Array[Long] = symbols.map(s => loadWord(littleEndian(s), 0))
+    /** All symbols back to back; symbol `c` starts at `symStart(c)`. */
+    val symBytes: Array[Byte] = symbols.flatten
+    val symStart: Array[Int] = symLen.scanLeft(0)(_ + _)
 
     private def prefix(code: Int): Int = symWord(code).toInt & 0xffff
 
@@ -173,8 +184,8 @@ object FsstTable {
     }
 
     /** The longest symbol that matches `in` at `pos`, or an escape. */
-    def matchAt(in: Array[Byte], pos: Int): Int = {
-      val rem = in.length - pos
+    def matchAt(in: ByteBuffer, pos: Int): Int = {
+      val rem = in.limit() - pos
       val word = loadWord(in, pos)
       val key = word.toInt & 0xffff
       val range: Int = bucket(key)
@@ -228,12 +239,13 @@ object Fsst {
     while (iter < Iterations) {
       // Walk the sample with the current table, recording emitted units.
       val index = table.index
+      val words = FsstTable.littleEndian(sample)
       val unitPos = new Array[Int](sample.length)
       val unitLen = new Array[Int](sample.length)
       var units = 0
       var pos = 0
       while (pos < sample.length) {
-        val len = index.matchAt(sample, pos) >>> 8
+        val len = index.matchAt(words, pos) >>> 8
         unitPos(units) = pos; unitLen(units) = len
         units += 1
         pos += len

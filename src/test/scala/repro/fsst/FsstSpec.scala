@@ -87,6 +87,19 @@ class FsstSpec extends AnyFunSuite with PropUtil {
     rt(t2, "pattern based compression works")
   }
 
+  test("a table codes the same after Java serialization") {
+    val t = Fsst.train(Vector.fill(30)("pattern based compression".getBytes(UTF_8)))
+    val buf = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(buf)
+    oos.writeObject(t)
+    oos.close()
+    val t2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(buf.toByteArray))
+      .readObject().asInstanceOf[FsstTable]
+    val in = "pattern based compression works".getBytes(UTF_8)
+    assert(t2.encode(in).toSeq == t.encode(in).toSeq)
+    assert(t2.decode(t.encode(in)).toSeq == in.toSeq)
+  }
+
   test("training is deterministic") {
     val sample = Vector.fill(40)("deterministic training sample 12345".getBytes(UTF_8))
     val t1 = Fsst.train(sample)
