@@ -25,9 +25,10 @@ import repro.core.{ByteReader, ByteWriter}
   *    load of the input and one masked compare test a symbol. Every symbol
   *    sits in its bucket, so no match is lost to a collision.
   * Within the last 7 bytes the load is zero-padded, and a symbol also has
-  * to fit in what is left. `decode` copies each symbol's word into an
-  * output array sized in a first pass. Neither keeps state between calls,
-  * and the index is not part of the serialized table.
+  * to fit in what is left. `decode` sizes its output in a first pass,
+  * then stores each symbol's whole word where 8 bytes fit. Neither keeps
+  * state between calls, and the index is not part of the serialized
+  * table.
   *
   * Training follows the paper's iterative bottom-up construction: encode
   * the sample with the current table, count emitted symbols and adjacent
@@ -79,16 +80,19 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
     }
     if (p > coded.length) throw new IndexOutOfBoundsException("FSST code ends in an escape with no byte")
     val out = new Array[Byte](n)
+    val words = FsstTable.littleEndian(out)
     p = 0
     var o = 0
     while (p < coded.length) {
       val c = coded(p) & 0xff
       if (c == FsstTable.Escape) { out(o) = coded(p + 1); o += 1; p += 2 }
       else {
-        val from = ix.symStart(c)
+        val w = ix.symWord(c)
         val len = ix.symLen(c)
-        var k = 0
-        while (k < len) { out(o + k) = ix.symBytes(from + k); k += 1 }
+        // a whole word where it fits: the bytes past `len` are written
+        // again by the symbols that follow
+        if (o + 8 <= n) words.putLong(o, w)
+        else { var k = 0; while (k < len) { out(o + k) = (w >>> (8 * k)).toByte; k += 1 } }
         o += len
         p += 1
       }
@@ -140,10 +144,8 @@ object FsstTable {
     */
   private[fsst] final class Index(symbols: Array[Array[Byte]]) {
     val symLen: Array[Int] = symbols.map(_.length)
-    private val symWord: Array[Long] = symbols.map(s => loadWord(littleEndian(s), 0))
-    /** All symbols back to back; symbol `c` starts at `symStart(c)`. */
-    val symBytes: Array[Byte] = symbols.flatten
-    val symStart: Array[Int] = symLen.scanLeft(0)(_ + _)
+    /** Each symbol's bytes as a little-endian word, zero-padded. */
+    val symWord: Array[Long] = symbols.map(s => loadWord(littleEndian(s), 0))
 
     private def prefix(code: Int): Int = symWord(code).toInt & 0xffff
 
