@@ -156,9 +156,13 @@ object FsstTable {
       t
     }
     private val short: Array[Short] = {
+      // `single` repeated for every second byte, by doubling copies: a
+      // loop over the 65 536 keys ran interpreted in the first trainings
+      // of a JVM and doubled their time
       val t = new Array[Short](1 << 16)
-      var key = 0
-      while (key < t.length) { t(key) = single(key & 0xff); key += 1 }
+      System.arraycopy(single, 0, t, 0, 256)
+      var filled = 256
+      while (filled < t.length) { System.arraycopy(t, 0, t, filled, filled); filled *= 2 }
       for (c <- symbols.indices if symLen(c) == 2) t(prefix(c)) = ((2 << 8) | c).toShort
       t
     }
