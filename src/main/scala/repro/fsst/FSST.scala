@@ -143,18 +143,25 @@ object FsstTable {
     * `(length << 8) | code`, an escape as `(1 << 8) | Escape`.
     */
   private[fsst] final class Index(symbols: Array[Array[Byte]]) {
-    val symLen: Array[Int] = symbols.map(_.length)
+    // Plain arrays and loops throughout: an array built through a ClassTag
+    // (`map`, `fill`, `toArray`) is written through
+    // `ScalaRunTime.array_update`, and each new element type there
+    // deoptimized compiled training code sharing it, mid-training.
+    val symLen = new Array[Int](symbols.length)
     /** Each symbol's bytes as a little-endian word, zero-padded. */
-    val symWord: Array[Long] = symbols.map(s => loadWord(littleEndian(s), 0))
+    val symWord = new Array[Long](symbols.length)
+    for (c <- symbols.indices) {
+      symLen(c) = symbols(c).length
+      symWord(c) = loadWord(littleEndian(symbols(c)), 0)
+    }
 
     private def prefix(code: Int): Int = symWord(code).toInt & 0xffff
 
     // codes ascend, so among equal symbols the highest code is written last
-    private val single: Array[Short] = {
-      val t = Array.fill[Short](256)(((1 << 8) | Escape).toShort)
-      for (c <- symbols.indices if symLen(c) == 1) t(prefix(c)) = ((1 << 8) | c).toShort
-      t
-    }
+    private val single = new Array[Short](256)
+    java.util.Arrays.fill(single, ((1 << 8) | Escape).toShort)
+    for (c <- symbols.indices) if (symLen(c) == 1) single(prefix(c)) = ((1 << 8) | c).toShort
+
     private val short: Array[Short] = {
       // `single` repeated for every second byte, by doubling copies: a
       // loop over the 65 536 keys ran interpreted in the first trainings
@@ -163,16 +170,34 @@ object FsstTable {
       System.arraycopy(single, 0, t, 0, 256)
       var filled = 256
       while (filled < t.length) { System.arraycopy(t, 0, t, filled, filled); filled *= 2 }
-      for (c <- symbols.indices if symLen(c) == 2) t(prefix(c)) = ((2 << 8) | c).toShort
+      for (c <- symbols.indices) if (symLen(c) == 2) t(prefix(c)) = ((2 << 8) | c).toShort
       t
     }
 
-    // symbols of 3-8 bytes by first two bytes, then longest and highest code first
-    private val long: Array[Int] =
-      symbols.indices.filter(symLen(_) > 2).sortBy(c => (prefix(c), -symLen(c), -c)).toArray
-    private val longWord: Array[Long] = long.map(symWord)
-    private val longMask: Array[Long] = long.map(c => -1L >>> (64 - 8 * symLen(c)))
-    private val longMatch: Array[Int] = long.map(c => (symLen(c) << 8) | c)
+    /** The codes of the symbols of 3-8 bytes by first two bytes, then
+      * longest and highest code first: sorted as keys packing the prefix,
+      * 8 - length and 255 - code.
+      */
+    private val long: Array[Int] = {
+      val keys = new Array[Int](symLen.count(_ > 2))
+      var k = 0
+      for (c <- symbols.indices) if (symLen(c) > 2) {
+        keys(k) = (prefix(c) << 12) | ((8 - symLen(c)) << 8) | (255 - c)
+        k += 1
+      }
+      java.util.Arrays.sort(keys)
+      for (i <- keys.indices) keys(i) = 255 - (keys(i) & 0xff)
+      keys
+    }
+    private val longWord = new Array[Long](long.length)
+    private val longMask = new Array[Long](long.length)
+    private val longMatch = new Array[Int](long.length)
+    for (i <- long.indices) {
+      val c = long(i)
+      longWord(i) = symWord(c)
+      longMask(i) = -1L >>> (64 - 8 * symLen(c))
+      longMatch(i) = (symLen(c) << 8) | c
+    }
     /** `(start << 8) | end` of each prefix's run in `long`: at most 255
       * symbols, so both fit in a byte.
       */
