@@ -25,10 +25,9 @@ import repro.core.{ByteReader, ByteWriter}
   *    load of the input and one masked compare test a symbol. Every symbol
   *    sits in its bucket, so no match is lost to a collision.
   * Within the last 7 bytes the load is zero-padded, and a symbol also has
-  * to fit in what is left. `decode` sizes its output in a first pass,
-  * then stores each symbol's whole word where 8 bytes fit. Neither keeps
-  * state between calls, and the index is not part of the serialized
-  * table.
+  * to fit in what is left. `decode` stores each symbol's whole word into
+  * an output of 8 bytes per code and cuts it once. Neither keeps state
+  * between calls, and the index is not part of the serialized table.
   *
   * Training follows the paper's iterative bottom-up construction: encode
   * the sample with the current table, count emitted symbols and adjacent
@@ -71,33 +70,18 @@ final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
     */
   def decode(coded: Array[Byte]): Array[Byte] = {
     val ix = index
-    var n = 0
-    var p = 0
-    while (p < coded.length) {
-      val c = coded(p) & 0xff
-      if (c == FsstTable.Escape) { n += 1; p += 2 }
-      else { n += ix.symLen(c); p += 1 }
-    }
-    if (p > coded.length) throw new IndexOutOfBoundsException("FSST code ends in an escape with no byte")
-    val out = new Array[Byte](n)
+    // a code writes at most 8 bytes, so every symbol's whole word fits;
+    // the bytes past its length are written again by what follows
+    val out = new Array[Byte](8 * coded.length)
     val words = FsstTable.littleEndian(out)
-    p = 0
+    var p = 0
     var o = 0
     while (p < coded.length) {
       val c = coded(p) & 0xff
       if (c == FsstTable.Escape) { out(o) = coded(p + 1); o += 1; p += 2 }
-      else {
-        val w = ix.symWord(c)
-        val len = ix.symLen(c)
-        // a whole word where it fits: the bytes past `len` are written
-        // again by the symbols that follow
-        if (o + 8 <= n) words.putLong(o, w)
-        else { var k = 0; while (k < len) { out(o + k) = (w >>> (8 * k)).toByte; k += 1 } }
-        o += len
-        p += 1
-      }
+      else { words.putLong(o, ix.symWord(c)); o += ix.symLen(c); p += 1 }
     }
-    out
+    java.util.Arrays.copyOf(out, o)
   }
 
   def serialize(out: ByteWriter): Unit = {
